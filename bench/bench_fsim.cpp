@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
     // Backend x lane-width cross on the full-scan comb view of the same
     // module: the same stuck-at grading the ATPG bootstrap and dictionary
     // flows run, on every execution backend (serial engine, thread-sharded
-    // ParallelFaultSim, fork-sharded ProcessFaultSim) at every linked lane
-    // width. Every cell is checked byte-identical to the serial 64-lane
+    // ParallelFaultSim) at every linked lane width. Every cell is checked byte-identical to the serial 64-lane
     // reference before being reported — a diverging cell fails the bench.
     const Netlist scanned = buildScannedModule(nl, sl.chains);
     const ScanView view = makeScanView(scanned, sl.chains);
@@ -136,8 +135,7 @@ int main(int argc, char** argv) {
                 scanned.name().c_str(), su.faults.size(), comb_cycles);
     FaultSimResult ref;
     for (const FsimBackend backend :
-         {FsimBackend::kSerial, FsimBackend::kThreaded,
-          FsimBackend::kProcess}) {
+         {FsimBackend::kSerial, FsimBackend::kThreaded}) {
       for (const int lane_words : {1, 2, 4, 8}) {
         FsimBackendOptions bopts;
         bopts.backend = backend;
@@ -171,54 +169,6 @@ int main(int argc, char** argv) {
     }
   }
   if (!wide_identical) return 1;
-
-  // Unarmed resilient-supervisor overhead vs the plain process backend on
-  // one representative module: same fleet size, same shards, no failpoint
-  // armed — the ratio keeps the "zero-cost when unarmed" claim honest from
-  // PR to PR. Both results are checked byte-identical to each other first.
-  double resilient_overhead = 0.0;
-  {
-    const Netlist& nl = cs.module(cs.m_cu);
-    const Netlist scanned = buildScannedModule(nl, {14, 28});
-    const ScanView view = makeScanView(scanned, {14, 28});
-    const FaultUniverse su = enumerateStuckAt(scanned);
-    const RandomPatternSource comb_patterns(0xE51, view.inputs.size(),
-                                            comb_cycles);
-    FaultSimOptions co;
-    co.cycles = comb_cycles;
-    co.prepass_cycles = 0;
-    co.drop_detected = false;
-    std::printf("\n%s: resilient supervisor overhead (unarmed) vs process\n",
-                scanned.name().c_str());
-    FaultSimResult results[2];
-    for (const FsimBackend backend :
-         {FsimBackend::kProcess, FsimBackend::kResilient}) {
-      FsimBackendOptions bopts;
-      bopts.backend = backend;
-      bopts.num_workers = 2;
-      const auto fsim =
-          makeCombFaultSim(scanned, view.inputs, view.observed, bopts);
-      FaultSimResult& r = results[backend == FsimBackend::kResilient ? 1 : 0];
-      const Timing t = timeRepeats(
-          repeats, [&] { r = fsim->run(su.faults, comb_patterns, co); });
-      rows.push_back({std::string("overhead-") + fsimBackendName(backend), 2,
-                      0, t, su.faults.size(), comb_cycles, r.detected});
-      printRow(rows.back());
-      if (backend == FsimBackend::kProcess) {
-        resilient_overhead = t.median;
-      } else if (t.median > 0 && resilient_overhead > 0) {
-        resilient_overhead = t.median / resilient_overhead;
-      }
-    }
-    if (results[0].first_detect != results[1].first_detect ||
-        results[0].detected != results[1].detected ||
-        results[0].patterns_applied != results[1].patterns_applied) {
-      std::fprintf(stderr, "FATAL: resilient backend diverged from process "
-                           "on %s\n",
-                   scanned.name().c_str());
-      return 1;
-    }
-  }
 
   // Aggregate speedups over summed median wall time (same work per row).
   double seq_serial_s = 0.0;
@@ -259,8 +209,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"speedup_4t_vs_serial\": %.3f,\n", jsonFinite(speedup4));
   std::fprintf(f, "  \"wide_speedup_vs_64lane\": %.3f,\n",
                jsonFinite(wide_speedup));
-  std::fprintf(f, "  \"resilient_overhead_vs_process\": %.3f,\n",
-               jsonFinite(resilient_overhead));
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -281,9 +229,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nspeedup at 4 threads vs serial (seq): %.2fx\n"
               "wide %d-lane kernel vs 64-lane (comb): %.2fx\n"
-              "resilient overhead vs process (unarmed): %.2fx\n"
               "(hardware_concurrency=%u, repeats=%d)\n-> BENCH_fsim.json\n",
-              speedup4, 64 * kLaneWords, wide_speedup, resilient_overhead,
+              speedup4, 64 * kLaneWords, wide_speedup,
               std::thread::hardware_concurrency(), repeats);
   return 0;
 }

@@ -25,9 +25,9 @@ double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// The batch-grading engine: the wide comb kernel itself, or the requested
-/// orchestrator (threaded or multi-process) sharding the fault list across
-/// it when the caller asked for workers. `holder` owns the wrapper; the
+/// The batch-grading engine: the wide comb kernel itself, or the threaded
+/// orchestrator sharding the fault list across it when the caller asked
+/// for workers. `holder` owns the wrapper; the
 /// returned pointer is whichever engine the batches should run on.
 FaultSim* makeGrader(CombFaultSim& fsim, const FullScanAtpgOptions& opts,
                      std::unique_ptr<FaultSim>& holder) {

@@ -51,8 +51,7 @@ struct FullScanAtpgOptions {
   /// serial stall-exit semantics).
   int num_threads = 1;
   /// Orchestrator for batch grading when num_threads > 1: kThreaded shards
-  /// across worker threads (the historical behavior), kProcess across
-  /// forked worker processes, kSerial ignores num_threads and grades on the
+  /// across worker threads, kSerial ignores num_threads and grades on the
   /// wide kernel directly.
   FsimBackend grading_backend = FsimBackend::kThreaded;
   /// Guide PODEM with SCOAP testability scores (analyze/scoap.hpp): the

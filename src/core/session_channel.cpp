@@ -16,7 +16,7 @@ namespace {
 // the scheduler-quarantine suites). Context: index = core, seq = attempt
 // or poll ordinal. kError throws SessionChannelError — the structured
 // infrastructure failure the scheduler knows how to retry — and kDelay
-// stalls the protocol; other kinds make no sense here and are ignored.
+// stalls the protocol.
 constexpr const char* kFpChannelAttempt = "channel.attempt";
 constexpr const char* kFpChannelPoll = "channel.poll";
 
@@ -157,16 +157,11 @@ void SessionChannel::measureCoverage(const WrappedCore& core,
   for (int m = 0; m < core.moduleCount(); ++m) {
     // Backend and worker count come from the resolved plan entry; the plan
     // default is one serial worker — the channel itself is the unit of
-    // parallelism — but big-module plans can opt into the threaded,
-    // multi-process or resilient orchestrators per core. The plan's
-    // resilience knobs ride along so kResilient probes inherit the same
-    // retry budget the scheduler applies to channels.
+    // parallelism — but big-module plans can opt into the threaded
+    // orchestrator per core.
     FsimBackendOptions bopts;
     bopts.backend = p.coverage_backend.value_or(FsimBackend::kSerial);
     bopts.num_workers = p.coverage_workers;
-    bopts.max_shard_retries = p.max_shard_retries >= 0 ? p.max_shard_retries : 2;
-    bopts.backoff_base_ms = p.backoff_base_ms >= 0 ? p.backoff_base_ms : 1;
-    bopts.degrade_on_failure = p.degrade_on_failure.value_or(true);
     double coverage;
     if (artifacts_ != nullptr) {
       // Memoized per (module content, patterns): coverage is

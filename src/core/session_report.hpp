@@ -53,9 +53,9 @@ enum class CoreVerdict : std::uint8_t {
 /// emitters format with printf: `%f` serializes inf/NaN as `inf`/`nan`,
 /// which is not JSON. A zero-wall-time campaign (coarse clock, trivial
 /// plan) or a zero-duration bench ratio otherwise poisons the whole
-/// artifact; non-finite values clamp to 0.0. (LintReport and ResilienceLog
-/// emit no floating-point fields — audited; route any future ones through
-/// this guard too.)
+/// artifact; non-finite values clamp to 0.0. (LintReport emits no
+/// floating-point fields — audited; route any future ones through this
+/// guard too.)
 [[nodiscard]] double jsonFinite(double v) noexcept;
 
 /// Complete record of one core's campaign entry (all attempts).

@@ -81,8 +81,8 @@ struct CorePlan {
   std::optional<FsimBackend> coverage_backend;
   /// Orchestrator workers for coverage measurement; <= 0 => plan default.
   int coverage_workers = 0;
-  /// Channel-failure retries before this core is quarantined, and the
-  /// resilient coverage backend's shard retry budget; < 0 => plan default.
+  /// Channel-failure retries before this core is quarantined; < 0 => plan
+  /// default.
   int max_shard_retries = -1;
   /// Exponential-backoff base between channel retries; < 0 => plan default.
   int backoff_base_ms = -1;
@@ -122,18 +122,18 @@ struct TestPlan {
 
   /// Fault-sim backend for coverage measurement. kSerial by default: the
   /// session channel is the unit of parallelism in this layer, and coverage
-  /// probes run on scheduler worker threads, where forking a process fleet
-  /// per module (kProcess) or nesting a thread pool (kThreaded) only pays
-  /// off for big modules — opt in per plan or per core when it does.
+  /// probes run on scheduler worker threads, where nesting a thread pool
+  /// (kThreaded) only pays off for big modules — opt in per plan or per
+  /// core when it does.
   FsimBackend coverage_backend = FsimBackend::kSerial;
-  /// Orchestrator workers for coverage measurement (kThreaded / kProcess);
-  /// 0 => one per hardware thread.
+  /// Orchestrator workers for kThreaded coverage measurement; 0 => one per
+  /// hardware thread.
   int coverage_workers = 1;
 
   // ---- resilience (see src/core/README.md, "Quarantine") ----
   /// Times a core's session channel may fail (SessionChannelError) and be
-  /// reopened before the scheduler stops retrying that core. Also the
-  /// per-shard retry budget of kResilient coverage probes.
+  /// reopened before the scheduler stops retrying that core. This is a
+  /// channel-retry budget only; coverage probes never retry.
   int max_shard_retries = 2;
   /// Exponential-backoff base between channel reopen attempts: retry k
   /// sleeps min(backoff_base_ms << (k-1), 250) ms. <= 0 disables sleeping.

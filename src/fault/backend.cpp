@@ -1,12 +1,9 @@
 #include "fault/backend.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "fault/comb_fsim.hpp"
 #include "fault/parallel_fsim.hpp"
-#include "fault/process_fsim.hpp"
-#include "fault/resilient_fsim.hpp"
 
 namespace corebist {
 
@@ -16,20 +13,8 @@ const char* fsimBackendName(FsimBackend b) noexcept {
       return "serial";
     case FsimBackend::kThreaded:
       return "threaded";
-    case FsimBackend::kProcess:
-      return "process";
-    case FsimBackend::kResilient:
-      return "resilient";
   }
   return "serial";
-}
-
-FsimBackend parseFsimBackend(std::string_view name) {
-  if (name == "serial") return FsimBackend::kSerial;
-  if (name == "threaded") return FsimBackend::kThreaded;
-  if (name == "process") return FsimBackend::kProcess;
-  if (name == "resilient") return FsimBackend::kResilient;
-  throw std::invalid_argument("unknown fsim backend: " + std::string(name));
 }
 
 std::unique_ptr<FaultSim> makeOrchestrator(const FaultSim& prototype,
@@ -42,24 +27,6 @@ std::unique_ptr<FaultSim> makeOrchestrator(const FaultSim& prototype,
       p.num_threads = opts.num_workers;
       p.shard_faults = opts.shard_faults;
       return std::make_unique<ParallelFaultSim>(prototype, p);
-    }
-    case FsimBackend::kProcess: {
-      ProcessFsimOptions p;
-      p.num_workers = opts.num_workers;
-      p.shard_faults = opts.shard_faults;
-      p.timeout_ms = opts.timeout_ms;
-      return std::make_unique<ProcessFaultSim>(prototype, p);
-    }
-    case FsimBackend::kResilient: {
-      ResilientFsimOptions r;
-      r.num_workers = opts.num_workers;
-      r.shard_faults = opts.shard_faults;
-      r.timeout_ms = opts.timeout_ms;
-      r.max_shard_retries = opts.max_shard_retries;
-      r.backoff_base_ms = opts.backoff_base_ms;
-      r.deadline_ms = opts.deadline_ms;
-      r.degrade_on_failure = opts.degrade_on_failure;
-      return std::make_unique<ResilientFaultSim>(prototype, r);
     }
   }
   return prototype.clone();

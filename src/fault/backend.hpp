@@ -6,22 +6,17 @@
 //
 //   kSerial    - the prototype engine itself (one process, one thread)
 //   kThreaded  - ParallelFaultSim fault sharding across worker threads
-//   kProcess   - ProcessFaultSim fault sharding across forked processes
-//   kResilient - ResilientFaultSim: the process protocol under a
-//                supervisor with shard retry/backoff and a degradation
-//                ladder (process -> threaded -> serial)
 //
 // Orthogonally, makeCombFaultSim() picks the lane width of the PPSFP kernel
 // (64/128/256/512 pattern lanes per pass) at runtime from the same options
-// struct. All backends are byte-identical on results by construction; the
-// choice is purely a throughput/isolation trade (see src/fault/README.md,
-// "Backend ladder").
+// struct. Both backends are byte-identical on results by construction; the
+// choice is purely a throughput trade (see src/fault/README.md, "Backend
+// ladder").
 #ifndef COREBIST_FAULT_BACKEND_HPP_
 #define COREBIST_FAULT_BACKEND_HPP_
 
 #include <memory>
 #include <span>
-#include <string_view>
 
 #include "fault/fault_sim.hpp"
 
@@ -30,41 +25,21 @@ namespace corebist {
 enum class FsimBackend {
   kSerial,
   kThreaded,
-  kProcess,
-  kResilient,
 };
 
-/// Stable lowercase name ("serial" / "threaded" / "process" /
-/// "resilient"); used in bench JSON rows and CLI flags.
+/// Stable lowercase name ("serial" / "threaded"); used in bench JSON rows.
 [[nodiscard]] const char* fsimBackendName(FsimBackend b) noexcept;
-
-/// Inverse of fsimBackendName; throws std::invalid_argument on unknown
-/// names (bench/CLI input validation).
-[[nodiscard]] FsimBackend parseFsimBackend(std::string_view name);
 
 struct FsimBackendOptions {
   FsimBackend backend = FsimBackend::kSerial;
   /// PPSFP kernel width in 64-lane words (1, 2, 4 or 8); 0 => the build
   /// default kLaneWords. Only meaningful for makeCombFaultSim.
   int lane_words = 0;
-  /// Worker threads/processes for the orchestrated backends; 0 => one per
-  /// hardware thread. Ignored by kSerial.
+  /// Worker threads for kThreaded; 0 => one per hardware thread. Ignored
+  /// by kSerial.
   int num_workers = 0;
-  /// Faults per work unit for the orchestrated backends.
+  /// Faults per work unit for kThreaded.
   int shard_faults = 63;
-  /// Worker-hang watchdog for kProcess / kResilient (per-shard monotonic
-  /// deadline; see ProcessFsimOptions::timeout_ms).
-  int timeout_ms = 120'000;
-  /// kResilient only: re-dispatches one shard gets before the supervisor
-  /// leaves the process rung (ResilientFsimOptions::max_shard_retries).
-  int max_shard_retries = 3;
-  /// kResilient only: exponential-backoff base before a worker respawn.
-  int backoff_base_ms = 1;
-  /// kResilient only: overall retry deadline budget in ms (0 = unbounded).
-  int deadline_ms = 0;
-  /// kResilient only: after the retry budget, step down the ladder
-  /// (process -> threaded -> serial) instead of throwing.
-  bool degrade_on_failure = true;
 };
 
 /// Combinational (full-scan) engine of the requested lane width, wrapped in
@@ -76,7 +51,7 @@ struct FsimBackendOptions {
 
 /// Wrap an existing prototype engine (combinational or sequential) in the
 /// requested orchestrator. kSerial returns a plain clone, so callers can
-/// treat all three uniformly; the prototype may die before the result.
+/// treat both backends uniformly; the prototype may die before the result.
 [[nodiscard]] std::unique_ptr<FaultSim> makeOrchestrator(
     const FaultSim& prototype, const FsimBackendOptions& opts);
 

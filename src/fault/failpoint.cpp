@@ -13,38 +13,11 @@ namespace detail {
 std::atomic<int> g_failpoints_armed{0};
 }  // namespace detail
 
-const char* failpointActionName(FailpointAction::Kind k) noexcept {
-  switch (k) {
-    case FailpointAction::Kind::kOff:
-      return "off";
-    case FailpointAction::Kind::kCrash:
-      return "crash";
-    case FailpointAction::Kind::kHang:
-      return "hang";
-    case FailpointAction::Kind::kError:
-      return "error";
-    case FailpointAction::Kind::kTruncate:
-      return "truncate";
-    case FailpointAction::Kind::kBitflip:
-      return "bitflip";
-    case FailpointAction::Kind::kShortWrite:
-      return "shortwrite";
-    case FailpointAction::Kind::kDelay:
-      return "delay";
-  }
-  return "?";
-}
-
 namespace {
 
 FailpointAction::Kind parseActionKind(std::string_view name) {
   using Kind = FailpointAction::Kind;
-  if (name == "crash") return Kind::kCrash;
-  if (name == "hang") return Kind::kHang;
   if (name == "error") return Kind::kError;
-  if (name == "truncate") return Kind::kTruncate;
-  if (name == "bitflip") return Kind::kBitflip;
-  if (name == "shortwrite") return Kind::kShortWrite;
   if (name == "delay") return Kind::kDelay;
   throw std::invalid_argument("failpoint spec: unknown action '" +
                               std::string(name) + "'");
@@ -76,6 +49,14 @@ FailpointRegistry& FailpointRegistry::instance() {
   }();
   return *reg;
 }
+
+namespace {
+// Eager construction at static-init time arms the COREBIST_FAILPOINTS spec
+// before main(): hot-path sites only consult the registry once something is
+// armed, so a lazily built registry would never read the environment.
+[[maybe_unused]] const FailpointRegistry& g_eager_registry =
+    FailpointRegistry::instance();
+}  // namespace
 
 void FailpointRegistry::publishArmedCount() {
   detail::g_failpoints_armed.store(static_cast<int>(entries_.size()),
@@ -136,10 +117,9 @@ void FailpointRegistry::armFromSpec(std::string_view spec) {
       }
       const std::string_view key = param.substr(0, peq);
       const std::string_view val = param.substr(peq + 1);
-      if (key == "worker" || key == "index" || key == "core") {
+      if (key == "index" || key == "core") {
         match_index = parseInt(val, key);
-      } else if (key == "shard" || key == "seq" || key == "attempt" ||
-                 key == "poll") {
+      } else if (key == "seq" || key == "attempt" || key == "poll") {
         match_seq = parseInt(val, key);
       } else if (key == "skip") {
         skip = static_cast<int>(parseInt(val, key));
@@ -149,8 +129,6 @@ void FailpointRegistry::armFromSpec(std::string_view spec) {
         action.delay_ms = static_cast<int>(parseInt(val, key));
       } else if (key == "jitter") {
         action.jitter_ms = static_cast<int>(parseInt(val, key));
-      } else if (key == "arg") {
-        action.arg = static_cast<std::uint64_t>(parseInt(val, key));
       } else {
         throw std::invalid_argument("failpoint spec: unknown key '" +
                                     std::string(key) + "' in entry '" +

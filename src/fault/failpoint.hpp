@@ -1,15 +1,12 @@
-// Deterministic fault injection for the campaign-execution layers.
+// Deterministic fault injection for the campaign-execution layer.
 //
 // A *failpoint* is a named site compiled into an infrastructure hot path —
-// the ProcessFaultSim dispatch loop, the worker request/reply protocol, the
-// SessionChannel attempt machinery — where a test (or a chaos CI job) can
-// arm a failure action: kill the executing worker, stall a reply past the
-// watchdog, truncate or bit-flip a frame, force partial pipe writes, or
-// delay with deterministic jitter. Sites are *always* compiled in; when
-// nothing is armed the per-site cost is one relaxed atomic load
-// (`failpointsArmed()`), so production campaigns pay nothing measurable
-// (BENCH_fsim.json records `resilient_overhead_vs_process` to keep that
-// claim honest).
+// today the SessionChannel attempt machinery (`channel.attempt`,
+// `channel.poll`) — where a test (or a chaos CI job) can arm a failure
+// action: throw the site's structured error, or delay with deterministic
+// jitter. Sites are *always* compiled in; when nothing is armed the
+// per-site cost is one relaxed atomic load (`failpointsArmed()`), so
+// production campaigns pay nothing measurable.
 //
 // Arming is programmatic (`FailpointRegistry::instance().arm(...)`) or
 // environmental: the `COREBIST_FAILPOINTS` variable is parsed once at
@@ -20,24 +17,22 @@
 //
 //   spec   := entry (';' entry)*
 //   entry  := site '=' action (':' param)*
-//   action := crash | hang | error | truncate | bitflip | shortwrite | delay
+//   action := error | delay
 //   param  := key '=' integer
-//   key    := worker | index | core      (match FailpointContext::index)
-//           | shard | seq | attempt | poll  (match FailpointContext::seq)
+//   key    := index | core               (match FailpointContext::index)
+//           | seq | attempt | poll       (match FailpointContext::seq)
 //           | skip   (matches to skip before the first fire)
 //           | count  (fires before the entry is spent; -1 = unlimited)
 //           | ms | jitter                (delay milliseconds, + jitter cap)
-//           | arg    (action argument: bit index / byte count)
 //
-// Example: `process.worker.shard=crash:worker=1:shard=3;` kills worker 1
-// the first time it is handed stage-shard 3, once.
+// Example: `channel.attempt=error:core=1:count=2;` fails the first two
+// protocol attempts on core 1's session channel.
 //
 // Deterministic by construction: hit counting and `count` consumption
-// happen in the arming process (the campaign parent), so a retried shard
-// whose failure was already consumed re-runs clean — which is exactly what
-// the resilience tests need to prove retry convergence. Sites document
-// which context field means what (for `process.*` sites index = worker,
-// seq = shard id; for `channel.*` sites index = core, seq = attempt/poll).
+// happen in the registry under one lock, so a retried attempt whose failure
+// was already consumed re-runs clean — which is exactly what the quarantine
+// tests need to prove retry convergence. For `channel.*` sites index =
+// core, seq = attempt/poll ordinal.
 #ifndef COREBIST_FAULT_FAILPOINT_HPP_
 #define COREBIST_FAULT_FAILPOINT_HPP_
 
@@ -52,31 +47,20 @@
 namespace corebist {
 
 /// What an armed failpoint does when it fires. The *site* interprets the
-/// kind: a crash at a worker site is `_exit(42)`, a bitflip at a frame site
-/// corrupts the serialized bytes, an error at a channel site throws
-/// SessionChannelError. Sites ignore kinds that make no sense for them.
+/// kind: an error at a channel site throws SessionChannelError.
 struct FailpointAction {
   enum class Kind : std::uint8_t {
     kOff = 0,
-    kCrash,       // kill the executing process (_exit) at the site
-    kHang,        // block forever (until the supervisor's SIGKILL)
-    kError,       // throw the site's structured error type
-    kTruncate,    // emit only the first `arg` bytes of the frame
-    kBitflip,     // flip bit (arg mod frame bits) of the frame
-    kShortWrite,  // split the frame write into dribbled partial writes
-    kDelay,       // sleep delay_ms + deterministic jitter in [0, jitter_ms]
+    kError,  // throw the site's structured error type
+    kDelay,  // sleep delay_ms + deterministic jitter in [0, jitter_ms]
   };
   Kind kind = Kind::kOff;
   int delay_ms = 0;
   int jitter_ms = 0;
-  std::uint64_t arg = 0;
 };
 
-[[nodiscard]] const char* failpointActionName(FailpointAction::Kind k) noexcept;
-
-/// Site-specific coordinates a firing is matched against. Conventions:
-/// process.* sites pass {worker index, shard id}; channel.* sites pass
-/// {core index, attempt / poll number}.
+/// Site-specific coordinates a firing is matched against. channel.* sites
+/// pass {core index, attempt / poll number}.
 struct FailpointContext {
   std::int64_t index = -1;
   std::int64_t seq = -1;

@@ -91,8 +91,8 @@ class ArtifactStore {
 
   /// Signature-qualified stuck-at coverage (%) of module `m` under
   /// `patterns` cycles. Memoized per (module content, patterns): coverage
-  /// results are backend-invariant (byte-identical across serial, threaded,
-  /// process and resilient orchestrators — pinned by the backend suites),
+  /// results are backend-invariant (byte-identical across the serial and
+  /// threaded orchestrators — pinned by the backend suites),
   /// so `bopts` only steers how a *miss* is computed, never the value.
   double signatureCoverage(const WrappedCore& core, int m, int patterns,
                            const FsimBackendOptions& bopts);

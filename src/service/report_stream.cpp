@@ -1,16 +1,125 @@
 #include "service/report_stream.hpp"
 
+#include <unistd.h>
+
+#include <cerrno>
+#include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
-
-#include "fault/process_wire.hpp"
 
 namespace corebist {
 namespace {
 
-using fsimwire::kHeaderWords;
+// ---- frame codec ---------------------------------------------------------
+
+constexpr std::size_t kHeaderWords = 4;  // magic, kind, payload_bytes, fnv1a
+
+[[nodiscard]] std::uint32_t fnv1a(const void* data, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint32_t h = 0x811C9DC5u;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x01000193u;
+  }
+  return h;
+}
+
+bool writeAll(int fd, const void* buf, std::size_t n) {
+  const char* p = static_cast<const char*>(buf);
+  while (n > 0) {
+    const ssize_t k = ::write(fd, p, n);
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += k;
+    n -= static_cast<std::size_t>(k);
+  }
+  return true;
+}
+
+bool readAll(int fd, void* buf, std::size_t n) {
+  char* p = static_cast<char*>(buf);
+  while (n > 0) {
+    const ssize_t k = ::read(fd, p, n);
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (k == 0) return false;  // EOF: writer gone
+    p += k;
+    n -= static_cast<std::size_t>(k);
+  }
+  return true;
+}
+
+/// SIGPIPE => SIG_IGN for the lifetime of one frame write, previous
+/// disposition restored on exit: a reader that closed its end must surface
+/// as EPIPE on the write, not kill the campaign with an unhandled signal.
+class ScopedSigpipeIgnore {
+ public:
+  ScopedSigpipeIgnore() {
+    struct sigaction sa = {};
+    sa.sa_handler = SIG_IGN;
+    sigemptyset(&sa.sa_mask);
+    ::sigaction(SIGPIPE, &sa, &prev_);
+  }
+  ~ScopedSigpipeIgnore() { ::sigaction(SIGPIPE, &prev_, nullptr); }
+  ScopedSigpipeIgnore(const ScopedSigpipeIgnore&) = delete;
+  ScopedSigpipeIgnore& operator=(const ScopedSigpipeIgnore&) = delete;
+
+ private:
+  struct sigaction prev_ = {};
+};
+
+template <typename T>
+void putPod(std::vector<std::uint8_t>& b, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+  b.insert(b.end(), p, p + sizeof(T));
+}
+
+void putBytes(std::vector<std::uint8_t>& b, const void* p, std::size_t n) {
+  const auto* q = static_cast<const std::uint8_t*>(p);
+  b.insert(b.end(), q, q + n);
+}
+
+/// Bounds-checked payload reader; `ok` latches false on any overrun so a
+/// truncated payload parses to garbage-free defaults instead of OOB reads.
+struct Cursor {
+  const std::uint8_t* p;
+  const std::uint8_t* end;
+  bool ok = true;
+
+  template <typename T>
+  T get() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v{};
+    if (!ok || static_cast<std::size_t>(end - p) < sizeof(T)) {
+      ok = false;
+      return v;
+    }
+    std::memcpy(&v, p, sizeof(T));
+    p += sizeof(T);
+    return v;
+  }
+};
+
+/// Backpatch payload size + checksum into a frame assembled as
+/// [16-byte header][payload].
+void sealFrame(std::vector<std::uint8_t>& frame) {
+  const std::size_t hdr = kHeaderWords * sizeof(std::uint32_t);
+  const auto payload = static_cast<std::uint32_t>(frame.size() - hdr);
+  const std::uint32_t sum = fnv1a(frame.data() + hdr, payload);
+  std::memcpy(frame.data() + 8, &payload, sizeof(payload));
+  std::memcpy(frame.data() + 12, &sum, sizeof(sum));
+}
+
+// ---- report-stream frames ------------------------------------------------
 
 /// Assemble one frame: header with backpatched size/checksum, then
 /// [u64 campaign_id][json bytes].
@@ -20,13 +129,13 @@ std::vector<std::uint8_t> buildFrame(StreamEventKind kind,
   std::vector<std::uint8_t> frame;
   frame.reserve(kHeaderWords * sizeof(std::uint32_t) + sizeof(campaign_id) +
                 json.size());
-  fsimwire::putPod(frame, kReportStreamMagic);
-  fsimwire::putPod(frame, static_cast<std::uint32_t>(kind));
-  fsimwire::putPod(frame, std::uint32_t{0});  // payload size (sealFrame)
-  fsimwire::putPod(frame, std::uint32_t{0});  // checksum (sealFrame)
-  fsimwire::putPod(frame, campaign_id);
-  fsimwire::putBytes(frame, json.data(), json.size());
-  fsimwire::sealFrame(frame);
+  putPod(frame, kReportStreamMagic);
+  putPod(frame, static_cast<std::uint32_t>(kind));
+  putPod(frame, std::uint32_t{0});  // payload size (sealFrame)
+  putPod(frame, std::uint32_t{0});  // checksum (sealFrame)
+  putPod(frame, campaign_id);
+  putBytes(frame, json.data(), json.size());
+  sealFrame(frame);
   return frame;
 }
 
@@ -64,8 +173,8 @@ void WireReportStream::emit(StreamEventKind kind, const std::string& json) {
   if (dropped_) return;
   // A tenant that closed its reader must not fail (or stall) the campaign:
   // SIGPIPE is ignored for the write, EPIPE latches the dropped state.
-  fsimwire::ScopedSigpipeIgnore guard;
-  if (!fsimwire::writeAll(fd_, frame.data(), frame.size())) dropped_ = true;
+  ScopedSigpipeIgnore guard;
+  if (!writeAll(fd_, frame.data(), frame.size())) dropped_ = true;
 }
 
 void WireReportStream::onCampaignStart(int cores, int threads) {
@@ -125,7 +234,7 @@ void WireReportStream::onCampaignFinish(const SessionReport& report) {
 }
 
 bool readStreamEvent(int fd, StreamEvent& out) {
-  std::uint32_t hdr[fsimwire::kHeaderWords];
+  std::uint32_t hdr[kHeaderWords];
   {
     // Distinguish clean EOF (no bytes at all) from a torn header.
     auto* p = reinterpret_cast<char*>(hdr);
@@ -150,14 +259,19 @@ bool readStreamEvent(int fd, StreamEvent& out) {
       hdr[1] > static_cast<std::uint32_t>(StreamEventKind::kCampaignFinish)) {
     throw std::runtime_error("report stream: unknown event kind");
   }
+  // The size word comes off a peer fd: bound it before allocating, so a
+  // corrupt header cannot request gigabytes.
+  if (hdr[2] > kMaxStreamPayloadBytes) {
+    throw std::runtime_error("report stream: oversized frame payload");
+  }
   std::vector<std::uint8_t> payload(hdr[2]);
-  if (!fsimwire::readAll(fd, payload.data(), payload.size())) {
+  if (!readAll(fd, payload.data(), payload.size())) {
     throw std::runtime_error("report stream: truncated payload");
   }
-  if (fsimwire::fnv1a(payload.data(), payload.size()) != hdr[3]) {
+  if (fnv1a(payload.data(), payload.size()) != hdr[3]) {
     throw std::runtime_error("report stream: payload checksum mismatch");
   }
-  fsimwire::Cursor c{payload.data(), payload.data() + payload.size()};
+  Cursor c{payload.data(), payload.data() + payload.size()};
   const auto id = c.get<std::uint64_t>();
   if (!c.ok) throw std::runtime_error("report stream: short payload");
   out.kind = static_cast<StreamEventKind>(hdr[1]);

@@ -7,8 +7,7 @@
 // a framed, checksummed message on a file descriptor (a pipe to the tenant
 // today, a socket tomorrow).
 //
-// Frames reuse the exact shape of the process-backend wire protocol
-// (fault/process_wire.hpp): a 16-byte header
+// Each frame is a 16-byte header (codec in report_stream.cpp)
 //
 //   {u32 magic = 0xC0B15703, u32 event kind, u32 payload_bytes,
 //    u32 fnv1a(payload)}
@@ -46,9 +45,13 @@ enum class StreamEventKind : std::uint32_t {
 
 [[nodiscard]] const char* streamEventKindName(StreamEventKind k) noexcept;
 
-/// Magic word of report-stream frames (next to the process-backend's
-/// kReqMagic/kRespMagic so a frame on the wrong pipe is detected).
+/// Magic word of report-stream frames, so a frame on the wrong pipe is
+/// detected.
 inline constexpr std::uint32_t kReportStreamMagic = 0xC0B15703u;
+
+/// Largest payload (campaign id + JSON) readStreamEvent accepts; a larger
+/// size word is rejected before anything is allocated.
+inline constexpr std::uint32_t kMaxStreamPayloadBytes = 64u << 20;
 
 /// SessionObserver that frames every event onto `fd`. The stream does not
 /// own the descriptor — the tenant opened it, the tenant closes it (after
@@ -91,7 +94,8 @@ struct StreamEvent {
 
 /// Blocking read of the next frame from `fd`. Returns false on clean EOF
 /// (writer closed between frames); throws std::runtime_error on a torn
-/// frame, bad magic or checksum mismatch.
+/// header, bad magic, unknown kind, oversized or truncated payload, or
+/// checksum mismatch.
 bool readStreamEvent(int fd, StreamEvent& out);
 
 }  // namespace corebist

@@ -3,16 +3,17 @@
 // facade, any pool size and any multi-tenant interleaving; artifact reuse
 // fingerprint-invisible; typed admission control that never blocks the
 // reactor; observer detach on completion; streamed wire frames that
-// reconstruct the report; and a multi-tenant soak that leaks neither
-// threads nor campaigns. Runs under TSan in CI (no fork in this file) and
-// under the chaos matrix (channel failpoints within the retry budget are
-// fingerprint-invisible by design).
+// reconstruct the report, and a structured error for every malformed
+// frame; and a multi-tenant soak that leaks neither threads nor campaigns.
+// Runs under TSan in CI and under the chaos matrix (channel failpoints
+// within the retry budget are fingerprint-invisible by design).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -405,6 +406,96 @@ TEST(CampaignService, StreamedFramesReconstructTheReport) {
   }
   EXPECT_EQ(events.back().json, report.toJson());
   EXPECT_STREQ(streamEventKindName(events.back().kind), "campaign_finish");
+}
+
+/// One real frame exactly as WireReportStream writes it (a core_start
+/// event for campaign 42).
+std::vector<std::uint8_t> validFrame() {
+  int fds[2];
+  EXPECT_EQ(pipe(fds), 0);
+  WireReportStream(fds[1], 42).onCoreStart(3, 1);
+  close(fds[1]);
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[256];
+  ssize_t k = 0;
+  while ((k = read(fds[0], buf, sizeof buf)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + k);
+  }
+  close(fds[0]);
+  return bytes;
+}
+
+void putWord(std::vector<std::uint8_t>& frame, std::size_t word,
+             std::uint32_t v) {
+  std::memcpy(frame.data() + 4 * word, &v, sizeof v);
+}
+
+/// Feed `bytes` to readStreamEvent through a pipe whose writer closes right
+/// after them; returns the decode error message ("" when none was thrown).
+std::string decodeError(const std::vector<std::uint8_t>& bytes) {
+  int fds[2];
+  EXPECT_EQ(pipe(fds), 0);
+  EXPECT_EQ(write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  close(fds[1]);
+  std::string what;
+  try {
+    StreamEvent ev;
+    (void)readStreamEvent(fds[0], ev);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  close(fds[0]);
+  return what;
+}
+
+TEST(ReportStreamDecode, ValidFrameDecodesThenCleanEofReturnsFalse) {
+  const std::vector<std::uint8_t> frame = validFrame();
+  ASSERT_GT(frame.size(), 16u + 8u);
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(write(fds[1], frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  close(fds[1]);
+  StreamEvent ev;
+  ASSERT_TRUE(readStreamEvent(fds[0], ev));
+  EXPECT_EQ(ev.kind, StreamEventKind::kCoreStart);
+  EXPECT_EQ(ev.campaign_id, 42u);
+  EXPECT_EQ(ev.json, "{\"core\": 3, \"attempt\": 1}");
+  EXPECT_FALSE(readStreamEvent(fds[0], ev));  // clean EOF between frames
+  close(fds[0]);
+}
+
+TEST(ReportStreamDecode, OversizedPayloadIsRejectedBeforeAllocating) {
+  std::vector<std::uint8_t> frame = validFrame();
+  putWord(frame, 2, kMaxStreamPayloadBytes + 1);
+  EXPECT_NE(decodeError(frame).find("oversized"), std::string::npos);
+  putWord(frame, 2, 0xFFFFFFFFu);
+  EXPECT_NE(decodeError(frame).find("oversized"), std::string::npos);
+}
+
+TEST(ReportStreamDecode, TornHeaderIsAnError) {
+  std::vector<std::uint8_t> frame = validFrame();
+  frame.resize(7);
+  EXPECT_NE(decodeError(frame).find("torn frame header"), std::string::npos);
+}
+
+TEST(ReportStreamDecode, BadMagicIsAnError) {
+  std::vector<std::uint8_t> frame = validFrame();
+  putWord(frame, 0, kReportStreamMagic ^ 1u);
+  EXPECT_NE(decodeError(frame).find("bad frame magic"), std::string::npos);
+}
+
+TEST(ReportStreamDecode, ChecksumMismatchIsAnError) {
+  std::vector<std::uint8_t> frame = validFrame();
+  frame.back() ^= 0x20;  // one bit of the JSON text
+  EXPECT_NE(decodeError(frame).find("checksum mismatch"), std::string::npos);
+}
+
+TEST(ReportStreamDecode, TruncatedPayloadIsAnError) {
+  std::vector<std::uint8_t> frame = validFrame();
+  frame.resize(frame.size() - 3);
+  EXPECT_NE(decodeError(frame).find("truncated payload"), std::string::npos);
 }
 
 TEST(CampaignService, EmptyCampaignCompletesImmediately) {

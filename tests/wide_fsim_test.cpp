@@ -2,16 +2,20 @@
 // CombFaultSimT<8> (the AVX-512 width) must be byte-identical to the 64-lane
 // reference CombFaultSimT<1> on randomized netlists across every campaign mode — partial tail blocks, windowed masks,
 // first-K dictionary records, stall exits and transition pair blocks — plus
-// the wide-fill decomposition contract of PatternSource and the thread-safe
+// the backend factory (serial and threaded over every lane width), the
+// wide-fill decomposition contract of PatternSource and the thread-safe
 // transposition cache of CyclePatternSource.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/backend.hpp"
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
 #include "fault/lane.hpp"
@@ -212,6 +216,42 @@ TEST_P(WideEquivalence, ParallelOrchestrationOverWideKernelMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WideEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8));
+
+TEST(FsimBackendFactory, FactoryWrapsEveryBackendOverEveryLaneWidth) {
+  const Netlist nl = randomComb(17, 9, 50);
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const RandomPatternSource patterns(4, nl.primaryInputs().size(), 192);
+  FaultSimOptions o;
+  o.cycles = 192;
+  o.prepass_cycles = 0;
+
+  FsimBackendOptions ref_opts;  // serial, 64-lane reference
+  ref_opts.lane_words = 1;
+  const auto ref_engine =
+      makeCombFaultSim(nl, nl.primaryInputs(), nl.primaryOutputs(), ref_opts);
+  const FaultSimResult ref = ref_engine->run(u.faults, patterns, o);
+
+  for (const FsimBackend backend :
+       {FsimBackend::kSerial, FsimBackend::kThreaded}) {
+    for (const int lw : {1, 2, 4, 8}) {
+      FsimBackendOptions bopts;
+      bopts.backend = backend;
+      bopts.lane_words = lw;
+      bopts.num_workers = 2;
+      const auto engine = makeCombFaultSim(nl, nl.primaryInputs(),
+                                           nl.primaryOutputs(), bopts);
+      const FaultSimResult r = engine->run(u.faults, patterns, o);
+      SCOPED_TRACE(std::string(fsimBackendName(backend)) + " W=" +
+                   std::to_string(lw));
+      EXPECT_EQ(r.first_detect, ref.first_detect);
+      EXPECT_EQ(r.detected, ref.detected);
+      EXPECT_EQ(r.patterns_applied, ref.patterns_applied);
+    }
+  }
+  EXPECT_THROW((void)makeCombFaultSim(randomComb(1, 6, 10), {}, {},
+                                      FsimBackendOptions{.lane_words = 3}),
+               std::invalid_argument);
+}
 
 TEST(PatternSourceWideFill, DecomposesIntoNarrowSubBlockFills) {
   const RandomPatternSource src(0xABCD, 13, 500);
