@@ -8,8 +8,9 @@
 // (faults * cycles / seconds / 1e6), the throughput that fault dropping,
 // threading and lane widening actually scale. Every row is the median (and
 // min) of `repeats` runs — single-shot timings on shared runners are noise,
-// not measurements. Before any wide-lane row is reported its results are
-// checked byte-identical to the 64-lane reference.
+// not measurements. Every wide-lane row is checked byte-identical to the
+// 64-lane reference and every seq-parallel row to the serial sequential
+// kernel; any divergence fails the bench.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
   if (!quick) slots.push_back({cs.m_cn, {}});
 
   std::vector<Measurement> rows;
-  bool wide_identical = true;
+  bool identical = true;
   for (const Slot& sl : slots) {
     const Netlist& nl = cs.module(sl.slot);
     const FaultUniverse u = enumerateStuckAt(nl);
@@ -87,28 +88,35 @@ int main(int argc, char** argv) {
 
     std::printf("\n%s: %zu faults, %d cycles (sequential at-speed view)\n",
                 nl.name().c_str(), u.faults.size(), cycles);
+    // Every seq-parallel row must reproduce the serial first-detect cycles
+    // exactly; a diverging row fails the bench.
+    FaultSimResult seq_ref;
     {
       SeqFaultSim serial(nl);
       SeqFsimOptions so = o;
       so.num_threads = 1;
-      std::size_t detected = 0;
-      const Timing t = timeRepeats(repeats, [&] {
-        detected = serial.run(u.faults, stim, so).detected;
-      });
+      const Timing t = timeRepeats(
+          repeats, [&] { seq_ref = serial.run(u.faults, stim, so); });
       rows.push_back(
-          {"seq-serial", 1, 0, t, u.faults.size(), cycles, detected});
+          {"seq-serial", 1, 0, t, u.faults.size(), cycles, seq_ref.detected});
       printRow(rows.back());
     }
     for (const int threads : {1, 2, 4, 8}) {
       ParallelFsimOptions popts;
       popts.num_threads = threads;
       ParallelFaultSim psim(SeqFaultSim{nl}, popts);
-      std::size_t detected = 0;
-      const Timing t = timeRepeats(repeats, [&] {
-        detected = psim.run(u.faults, patterns, o).detected;
-      });
+      FaultSimResult r;
+      const Timing t =
+          timeRepeats(repeats, [&] { r = psim.run(u.faults, patterns, o); });
+      if (r.first_detect != seq_ref.first_detect) {
+        std::fprintf(stderr,
+                     "FATAL: seq-parallel at %d threads diverged from the "
+                     "serial sequential kernel on %s\n",
+                     threads, nl.name().c_str());
+        identical = false;
+      }
       rows.push_back(
-          {"seq-parallel", threads, 0, t, u.faults.size(), cycles, detected});
+          {"seq-parallel", threads, 0, t, u.faults.size(), cycles, r.detected});
       printRow(rows.back());
     }
 
@@ -158,7 +166,7 @@ int main(int argc, char** argv) {
                        "serial 64-lane reference on %s\n",
                        fsimBackendName(backend), 64 * lane_words,
                        scanned.name().c_str());
-          wide_identical = false;
+          identical = false;
         }
         const int workers = backend == FsimBackend::kSerial ? 1 : 2;
         rows.push_back({std::string("comb-") + fsimBackendName(backend),
@@ -168,7 +176,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!wide_identical) return 1;
+  if (!identical) return 1;
 
   // Aggregate speedups over summed median wall time (same work per row).
   double seq_serial_s = 0.0;

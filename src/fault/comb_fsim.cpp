@@ -39,6 +39,7 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
     throw std::invalid_argument(
         "CombFaultSim: observation points are fixed at construction");
   }
+  requireWindowCount(opts.windows, "CombFaultSim");
   // Pair campaigns: opts.launch serves the v1 (launch) vectors, `patterns`
   // the v2 (capture) vectors, and every block pair goes through
   // loadPairBlock — the FaultSim::run spelling of the LOS pair path the

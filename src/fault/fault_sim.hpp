@@ -27,6 +27,9 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -131,6 +134,17 @@ struct FaultSimOptions {
   /// source alive for the duration of run().
   const PatternSource* launch = nullptr;
 };
+
+/// Window masks hold one bit per window in a 64-bit word per fault, so a
+/// campaign accepts 0 (off) to 64 windows; anything else throws
+/// std::invalid_argument naming `who`.
+inline void requireWindowCount(int windows, std::string_view who) {
+  if (windows < 0 || windows > 64) {
+    throw std::invalid_argument(std::string(who) +
+                                ": windows must be in [0, 64], got " +
+                                std::to_string(windows));
+  }
+}
 
 struct FaultSimResult {
   std::vector<std::int32_t> first_detect;  // -1 => undetected at outputs

@@ -26,6 +26,7 @@ std::unique_ptr<FaultSim> ParallelFaultSim::clone() const {
 FaultSimResult ParallelFaultSim::run(std::span<const Fault> faults,
                                      const PatternSource& patterns,
                                      const FaultSimOptions& opts) {
+  requireWindowCount(opts.windows, "ParallelFaultSim");
   const int total_cycles =
       opts.cycles > 0 ? opts.cycles : patterns.patternCount();
   int nthreads = popts_.num_threads > 0

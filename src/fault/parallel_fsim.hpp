@@ -49,8 +49,9 @@ class ParallelFaultSim final : public FaultSim {
   std::unique_ptr<FaultSim> proto_;
   ParallelFsimOptions popts_;
   /// Worker engine clones, reused across run() calls: batched consumers
-  /// (the ATPG drivers) call run once per batch, and a fresh clone pays a
-  /// full netlist levelization plus per-net scratch allocation. Engines
+  /// (the ATPG drivers) call run once per batch, and a fresh comb clone
+  /// pays a full netlist levelization plus per-net scratch allocation
+  /// (sequential clones share their family's topology and trace memo). Engines
   /// reset all per-campaign state at the top of their own run(). One
   /// consequence: run() is not re-entrant on the same object — use clone()
   /// per thread, as every orchestrator already does.

@@ -1,8 +1,10 @@
 #include "fault/seq_fsim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 
 #include "netlist/levelize.hpp"
@@ -10,58 +12,291 @@
 
 namespace corebist {
 
+namespace seq_detail {
+
+/// A gate record in topological order; fanins are slots.
+struct PosGate {
+  std::array<std::uint32_t, 3> in{};  // unused pins read slot 0 (ignored)
+  GateType type = GateType::kConst0;
+};
+
+/// Immutable per-netlist tables, built once per engine family. Nets are
+/// renumbered into slots: undriven nets (primary inputs, flip-flop outputs,
+/// anything else without a driver) first, then gate outputs in topological
+/// order, so the gate at position p writes slot `sources + p` and a sweep
+/// walks gate records, output words and fanout offsets sequentially.
+struct Topology {
+  std::uint32_t sources = 0;               // slots [0, sources) are undriven
+  std::vector<std::uint32_t> slot_of;      // net -> slot
+  std::vector<PosGate> gates;
+  std::vector<std::uint32_t> fanout_off;   // slot -> reader positions (CSR)
+  std::vector<std::uint32_t> fanout_pos;
+  std::vector<std::uint32_t> capture_off;  // slot -> Q slots it feeds (CSR)
+  std::vector<std::uint32_t> capture_q;
+  std::vector<std::uint32_t> pi_slots;     // primary input j -> slot
+  std::vector<std::uint32_t> d_slots;      // flip-flop i: D slot
+  std::vector<std::uint32_t> q_slots;      // flip-flop i: Q slot
+  std::size_t row_words = 0;               // trace words per cycle
+  double mean_fanout = 0.0;                // reader positions per slot
+
+  [[nodiscard]] std::size_t slots() const { return slot_of.size(); }
+  [[nodiscard]] std::uint32_t fanout(std::uint32_t slot) const {
+    return fanout_off[slot + 1] - fanout_off[slot];
+  }
+};
+
+/// The good machine over one stimulus: one bit per slot per cycle.
+struct GoodTrace {
+  std::vector<std::uint64_t> stimulus;  // the words it was built from (key)
+  std::size_t row_words = 0;
+  std::vector<std::uint64_t> bits;      // cycle-major rows of row_words
+
+  [[nodiscard]] const std::uint64_t* row(int cycle) const {
+    return bits.data() + static_cast<std::size_t>(cycle) * row_words;
+  }
+};
+
+struct TraceMemo {
+  std::mutex mu;
+  std::shared_ptr<const GoodTrace> last;  // the most recently built trace
+};
+
+}  // namespace seq_detail
+
 namespace {
 
-/// One injected fault inside a simulation group.
-struct InjectSite {
-  std::uint64_t mask = 0;  // the machine bit this fault owns
-  NetId net = kNullNet;
-  int order_pos = -1;  // position of the site event in the topological order
-  GateId branch_gate = Fault::kNoGate;
-  std::uint8_t branch_pin = 0;
-  FaultKind kind = FaultKind::kSa0;
-  std::uint64_t prev = 0;  // TDF: previous raw site value (in `mask` bit)
-  std::uint32_t fault_index = 0;
-};
+using seq_detail::GoodTrace;
+using seq_detail::PosGate;
+using seq_detail::Topology;
 
-struct GroupScratch {
-  std::vector<std::uint64_t> val;     // per-net machine words
-  std::vector<std::uint64_t> dcapt;   // DFF capture temp
-  std::vector<std::uint64_t> misr;    // sliced MISR state
-};
+/// A group sweeps every gate for a cycle when the previous cycle's
+/// divergence woke more than this many gate evaluations per gate. A woken
+/// evaluation (bitmap pop, scattered reads, fanout walk) costs about seven
+/// swept ones: ~30 ns against ~4 ns on a 4-vCPU AVX-512 Xeon.
+constexpr double kSweepLoadPerGate = 0.15;
 
-/// Replicates lane 0 of `w` across all 64 lanes.
+/// Replicates lane 0 (the good machine) of `w` across all 64 lanes.
 inline std::uint64_t goodLane(std::uint64_t w) {
   return static_cast<std::uint64_t>(-static_cast<std::int64_t>(w & 1u));
 }
 
-}  // namespace
+/// The good value of `slot` in trace row `row`, broadcast.
+inline std::uint64_t goodWord(const std::uint64_t* row, std::uint32_t slot) {
+  return static_cast<std::uint64_t>(
+      -static_cast<std::int64_t>((row[slot >> 6] >> (slot & 63)) & 1u));
+}
 
-SeqFaultSim::SeqFaultSim(const Netlist& nl) : nl_(nl) {
-  if (nl.primaryInputs().size() > 64) {
-    throw std::invalid_argument(
-        "SeqFaultSim: more than 64 primary inputs; pack the stimulus "
-        "differently");
+std::shared_ptr<const Topology> buildTopology(const Netlist& nl) {
+  auto t = std::make_shared<Topology>();
+  const std::vector<GateId> order = levelize(nl).order;
+  const auto nets = static_cast<NetId>(nl.numNets());
+  const auto& gates = nl.gates();
+  constexpr std::uint32_t kUnset = 0xFFFF'FFFFu;
+  t->slot_of.assign(nets, kUnset);
+  for (const GateId g : order) {
+    if (t->slot_of[gates[g].out] != kUnset) {
+      throw std::logic_error(nl.name() + ": multiply-driven net");
+    }
+    t->slot_of[gates[g].out] = 0;  // placeholder: driven
+  }
+  for (NetId n = 0; n < nets; ++n) {
+    if (t->slot_of[n] == kUnset) t->slot_of[n] = t->sources++;
+  }
+  t->gates.resize(order.size());
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    const Gate& g = gates[order[pos]];
+    t->slot_of[g.out] = t->sources + static_cast<std::uint32_t>(pos);
+  }
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    const Gate& g = gates[order[pos]];
+    PosGate& r = t->gates[pos];
+    r.type = g.type;
+    for (std::size_t p = 0; p < g.nin; ++p) r.in[p] = t->slot_of[g.in[p]];
+  }
+  // Reader positions per slot; a gate reading a net on two pins is listed
+  // once (readers come sorted by gate, so duplicates are adjacent).
+  const ReaderCsr& readers = nl.readerCsr();
+  std::vector<NetId> net_of(nets);
+  for (NetId n = 0; n < nets; ++n) net_of[t->slot_of[n]] = n;
+  t->fanout_off.assign(nets + 1, 0);
+  for (std::uint32_t slot = 0; slot < nets; ++slot) {
+    GateId last = Fault::kNoGate;
+    for (const NetReader& r : readers.of(net_of[slot])) {
+      if (r.gate == last) continue;
+      last = r.gate;
+      t->fanout_pos.push_back(t->slot_of[gates[r.gate].out] - t->sources);
+    }
+    t->fanout_off[slot + 1] = static_cast<std::uint32_t>(t->fanout_pos.size());
+  }
+  for (const Dff& f : nl.dffs()) {
+    t->d_slots.push_back(t->slot_of[f.d]);
+    t->q_slots.push_back(t->slot_of[f.q]);
+  }
+  t->capture_off.assign(nets + 1, 0);
+  for (const std::uint32_t d : t->d_slots) ++t->capture_off[d + 1];
+  for (NetId n = 1; n <= nets; ++n) {
+    t->capture_off[n] += t->capture_off[n - 1];
+  }
+  t->capture_q.resize(t->d_slots.size());
+  std::vector<std::uint32_t> cursor(t->capture_off.begin(),
+                                    t->capture_off.end() - 1);
+  for (std::size_t i = 0; i < t->d_slots.size(); ++i) {
+    t->capture_q[cursor[t->d_slots[i]]++] = t->q_slots[i];
+  }
+  for (const NetId n : nl.primaryInputs()) t->pi_slots.push_back(t->slot_of[n]);
+  t->row_words = (nets + 63) / 64;
+  t->mean_fanout = nets == 0 ? 0.0
+                             : static_cast<double>(t->fanout_pos.size()) /
+                                   static_cast<double>(nets);
+  return t;
+}
+
+/// Packs 64 broadcast (all-0 / all-1) words into one bit each, eight at a
+/// time: word i of a group contributes byte i, the mask keeps bit i of
+/// byte i, and the multiply gathers those eight bits into the top byte.
+inline std::uint64_t packBroadcastWords(const std::uint64_t* v) {
+  std::uint64_t bits = 0;
+  for (int k = 0; k < 8; ++k) {
+    std::uint64_t bytes = 0;
+    for (int i = 0; i < 8; ++i) {
+      bytes |= v[8 * k + i] & (std::uint64_t{0xFF} << (8 * i));
+    }
+    bits |= ((bytes & 0x8040201008040201u) * 0x0101010101010101u >> 56)
+            << (8 * k);
+  }
+  return bits;
+}
+
+/// Runs the good machine over the first `cycles` stimulus words, calling
+/// `visit(cycle, val)` once per cycle with every slot's broadcast value as
+/// seen during the cycle, before its clock edge. `val` must hold at least
+/// t.slots() words; the trace builder pads it to whole rows.
+template <typename Visit>
+void runGoodMachine(const Topology& t, std::span<const std::uint64_t> stimulus,
+                    int cycles, std::vector<std::uint64_t>& val, Visit visit) {
+  std::vector<std::uint64_t> dcapt(t.d_slots.size(), 0);
+  std::uint64_t* out = val.data() + t.sources;
+  for (int c = 0; c < cycles; ++c) {
+    const std::uint64_t in = stimulus[static_cast<std::size_t>(c)];
+    for (std::size_t j = 0; j < t.pi_slots.size(); ++j) {
+      val[t.pi_slots[j]] = broadcast(((in >> j) & 1u) != 0);
+    }
+    for (std::size_t pos = 0; pos < t.gates.size(); ++pos) {
+      const PosGate& g = t.gates[pos];
+      out[pos] = evalGateWord(g.type, val[g.in[0]], val[g.in[1]], val[g.in[2]]);
+    }
+    visit(c, val);
+    for (std::size_t i = 0; i < dcapt.size(); ++i) dcapt[i] = val[t.d_slots[i]];
+    for (std::size_t i = 0; i < dcapt.size(); ++i) val[t.q_slots[i]] = dcapt[i];
   }
 }
 
-namespace {
+/// The good machine's trace over the whole stimulus.
+std::shared_ptr<const GoodTrace> simulateGood(
+    const Topology& t, std::span<const std::uint64_t> stimulus) {
+  auto trace = std::make_shared<GoodTrace>();
+  trace->stimulus.assign(stimulus.begin(), stimulus.end());
+  trace->row_words = t.row_words;
+  trace->bits.assign(stimulus.size() * t.row_words, 0);
+  // Padded to whole rows so every row word packs 64 slots.
+  std::vector<std::uint64_t> val(64 * t.row_words, 0);
+  const auto pack = [&](int c, const std::vector<std::uint64_t>& v) {
+    std::uint64_t* row =
+        trace->bits.data() + static_cast<std::size_t>(c) * t.row_words;
+    for (std::size_t w = 0; w < t.row_words; ++w) {
+      row[w] = packBroadcastWords(v.data() + 64 * w);
+    }
+  };
+  runGoodMachine(t, stimulus, static_cast<int>(stimulus.size()), val, pack);
+  return trace;
+}
 
-/// Everything constant across groups, precomputed once per run.
-struct RunContext {
-  const Netlist* nl;
-  Levelization lev;
-  std::vector<int> driver_order_pos;  // net -> topo position of driver, -1 source
-  std::vector<NetId> observe;
-  std::span<const std::uint64_t> stimulus;
-  const SeqFsimOptions* opts;
+/// One injected fault inside a simulation group.
+struct InjectSite {
+  std::uint64_t mask = 0;  // the machine bit this fault owns
+  std::uint32_t slot = 0;  // the site net
+  std::int32_t pos = -1;   // position of the gate it patches, -1 for sources
+  bool branch = false;     // patches one input pin of the gate at `pos`
+  std::uint8_t pin = 0;
+  FaultKind kind = FaultKind::kSa0;
+  std::uint64_t prev = 0;  // TDF: previous raw site value (in `mask` bit)
 };
 
-void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
+/// `w` with the site's machine bit replaced by what the fault presents in
+/// place of that raw value; advances the TDF history.
+inline std::uint64_t inject(InjectSite& s, std::uint64_t w) {
+  const std::uint64_t cur = w & s.mask;
+  std::uint64_t presented = 0;
+  switch (s.kind) {
+    case FaultKind::kSa0:
+      presented = 0;
+      break;
+    case FaultKind::kSa1:
+      presented = s.mask;
+      break;
+    case FaultKind::kSlowRise:
+      presented = cur & s.prev;
+      break;
+    case FaultKind::kSlowFall:
+      presented = cur | s.prev;
+      break;
+  }
+  s.prev = cur;
+  return (w & ~s.mask) | presented;
+}
+
+/// Applies the injection events at gate position `pos` (the next ones from
+/// cursor `ev` in the position-sorted `sites`) to the gate's output word
+/// `w`, given its input words.
+inline std::uint64_t injectAt(std::vector<InjectSite>& sites, std::size_t& ev,
+                              std::uint32_t pos, GateType type,
+                              std::uint64_t a, std::uint64_t b,
+                              std::uint64_t s, std::uint64_t w) {
+  for (; ev < sites.size() &&
+         sites[ev].pos == static_cast<std::int32_t>(pos);
+       ++ev) {
+    InjectSite& site = sites[ev];
+    if (!site.branch) {
+      w = inject(site, w);
+    } else {
+      // Branch fault: recompute this gate for one machine with the pin
+      // view patched.
+      std::uint64_t iv[3] = {a, b, s};
+      iv[site.pin] = inject(site, iv[site.pin]);
+      const std::uint64_t out = evalGateWord(type, iv[0], iv[1], iv[2]);
+      w = (w & ~site.mask) | (out & site.mask);
+    }
+  }
+  return w;
+}
+
+struct GroupScratch {
+  /// Event mode: each slot's word XOR its good value; zero off the
+  /// diverged set, and all zero between cycles.
+  std::vector<std::uint64_t> diff;
+  std::vector<std::uint64_t> val;      // sweep mode: every slot's word
+  std::vector<std::uint64_t> pending;  // gate positions to evaluate (bitmap)
+  std::vector<std::uint32_t> written;  // slots given a diff this cycle
+  /// Flip-flops whose captured D word diverged: (Q slot, diff).
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> seeds;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> next_seeds;
+  std::vector<std::uint64_t> misr;     // sliced MISR state
+};
+
+/// Everything constant across the groups of one pass.
+struct RunContext {
+  const Netlist* nl;
+  const Topology* topo;
+  const GoodTrace* trace;
+  std::vector<std::uint32_t> observe;                  // slots
+  std::vector<std::vector<std::uint32_t>> misr_feeds;  // slots per tap
+};
+
+void simulateGroup(const RunContext& ctx, const SeqFsimOptions& opts,
+                   std::span<const Fault> faults,
                    std::span<const std::uint32_t> members,
                    GroupScratch& scratch, SeqFsimResult& result) {
-  const Netlist& nl = *ctx.nl;
-  const SeqFsimOptions& opts = *ctx.opts;
+  const Topology& topo = *ctx.topo;
   const int cycles = opts.cycles;
   const bool want_windows = opts.windows > 0;
   const bool want_misr = opts.misr.has_value();
@@ -75,35 +310,40 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
     InjectSite s;
     s.mask = std::uint64_t{1} << (i + 1);  // bit 0 is the good machine
     group_mask |= s.mask;
-    s.net = f.net;
+    s.slot = topo.slot_of[f.net];
     s.kind = f.kind;
-    s.fault_index = members[i];
     if (f.isStem()) {
-      s.order_pos = ctx.driver_order_pos[f.net];
-      if (s.order_pos < 0) {
-        source_sites.push_back(s);
-      } else {
-        gate_sites.push_back(s);
-      }
+      s.pos = s.slot < topo.sources
+                  ? -1
+                  : static_cast<std::int32_t>(s.slot - topo.sources);
+      (s.pos < 0 ? source_sites : gate_sites).push_back(s);
     } else {
-      s.branch_gate = f.gate;
-      s.branch_pin = f.pin;
-      s.order_pos = ctx.driver_order_pos[nl.gates()[f.gate].out];
+      s.branch = true;
+      s.pin = f.pin;
+      s.pos = static_cast<std::int32_t>(
+          topo.slot_of[ctx.nl->gates()[f.gate].out] - topo.sources);
       gate_sites.push_back(s);
     }
   }
   std::sort(gate_sites.begin(), gate_sites.end(),
             [](const InjectSite& a, const InjectSite& b) {
-              return a.order_pos < b.order_pos;
+              return a.pos < b.pos;
             });
 
-  auto& val = scratch.val;
-  std::fill(val.begin(), val.end(), 0);
-  const auto& gates = nl.gates();
-  const auto& dffs = nl.dffs();
-  const auto& pis = nl.primaryInputs();
+  const auto& gates = topo.gates;
+  const auto ngates = static_cast<std::uint32_t>(gates.size());
+  const double sweep_load = kSweepLoadPerGate * static_cast<double>(ngates);
+  std::uint64_t* const diff = scratch.diff.data();
+  std::uint64_t* const val = scratch.val.data();
+  std::uint64_t* const out = val + topo.sources;
+  std::uint64_t* const pending = scratch.pending.data();
+  const std::size_t pending_words = scratch.pending.size();
+  auto& written = scratch.written;
+  auto& seeds = scratch.seeds;
+  auto& next = scratch.next_seeds;
+  seeds.clear();
+  written.clear();
 
-  // MISR state.
   const int misr_w = want_misr ? opts.misr->width : 0;
   scratch.misr.assign(static_cast<std::size_t>(misr_w), 0);
 
@@ -117,88 +357,104 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
       want_sigs ? members.size() * static_cast<std::size_t>(sig_words) : 0,
       0);
 
-  auto applySite = [](InjectSite& s, std::uint64_t& w, std::uint64_t cur) {
-    // cur = raw site value restricted to s.mask.
-    std::uint64_t presented = 0;
-    switch (s.kind) {
-      case FaultKind::kSa0:
-        presented = 0;
-        break;
-      case FaultKind::kSa1:
-        presented = s.mask;
-        break;
-      case FaultKind::kSlowRise:
-        presented = cur & s.prev;
-        break;
-      case FaultKind::kSlowFall:
-        presented = cur | s.prev;
-        break;
-    }
-    s.prev = cur;
-    w = (w & ~s.mask) | presented;
-  };
-
+  std::size_t load = 0;  // gate evaluations the last cycle's divergence woke
   for (int cycle = 0; cycle < cycles; ++cycle) {
-    // Drive stimulus (broadcast to all machines).
-    const std::uint64_t in = ctx.stimulus[static_cast<std::size_t>(cycle)];
-    for (std::size_t j = 0; j < pis.size(); ++j) {
-      val[pis[j]] = broadcast(((in >> j) & 1u) != 0);
-    }
-    // Source-net injections (PI and flip-flop output stems).
-    for (InjectSite& s : source_sites) {
-      applySite(s, val[s.net], val[s.net] & s.mask);
-    }
+    const std::uint64_t* row = ctx.trace->row(cycle);
+    const bool sweep = static_cast<double>(load) > sweep_load;
+    load = 0;
+    // The word of `slot` this cycle, in either mode.
+    auto word = [&](std::uint32_t slot) {
+      return sweep ? val[slot] : diff[slot] ^ goodWord(row, slot);
+    };
 
-    // Evaluate combinational logic with in-line injection events.
     std::size_t ev = 0;
-    const std::size_t nev = gate_sites.size();
-    for (std::size_t pos = 0; pos < ctx.lev.order.size(); ++pos) {
-      const Gate& gate = gates[ctx.lev.order[pos]];
-      const std::uint64_t a = gate.nin > 0 ? val[gate.in[0]] : 0;
-      const std::uint64_t b = gate.nin > 1 ? val[gate.in[1]] : 0;
-      const std::uint64_t sv = gate.nin > 2 ? val[gate.in[2]] : 0;
-      val[gate.out] = evalGateWord(gate.type, a, b, sv);
-      while (ev < nev &&
-             gate_sites[ev].order_pos == static_cast<int>(pos)) {
-        InjectSite& s = gate_sites[ev];
-        if (s.branch_gate == Fault::kNoGate) {
-          applySite(s, val[gate.out], val[gate.out] & s.mask);
-        } else {
-          // Branch fault: recompute this gate's output for one machine with
-          // the pin view patched.
-          const Gate& bg = gates[s.branch_gate];
-          std::uint64_t iv[3] = {0, 0, 0};
-          for (int p = 0; p < bg.nin; ++p) iv[p] = val[bg.in[static_cast<std::size_t>(p)]];
-          const std::uint64_t cur = iv[s.branch_pin] & s.mask;
-          std::uint64_t presented = 0;
-          switch (s.kind) {
-            case FaultKind::kSa0:
-              presented = 0;
-              break;
-            case FaultKind::kSa1:
-              presented = s.mask;
-              break;
-            case FaultKind::kSlowRise:
-              presented = cur & s.prev;
-              break;
-            case FaultKind::kSlowFall:
-              presented = cur | s.prev;
-              break;
-          }
-          s.prev = cur;
-          iv[s.branch_pin] = (iv[s.branch_pin] & ~s.mask) | presented;
-          const std::uint64_t out =
-              evalGateWord(bg.type, iv[0], iv[1], iv[2]);
-          val[bg.out] = (val[bg.out] & ~s.mask) | (out & s.mask);
+    if (sweep) {
+      // Dense cycle: every source from the good trace and the seeds, then
+      // every gate in order.
+      for (std::uint32_t slot = 0; slot < topo.sources; ++slot) {
+        val[slot] = goodWord(row, slot);
+      }
+      for (const auto& [q, d] : seeds) {
+        val[q] ^= d;
+        load += topo.fanout(q);
+      }
+      for (InjectSite& s : source_sites) val[s.slot] = inject(s, val[s.slot]);
+      // Runs of site-free gates between the sorted fault sites.
+      std::size_t diverged = 0;
+      for (std::uint32_t pos = 0; pos < ngates;) {
+        const std::uint32_t stop =
+            ev < gate_sites.size()
+                ? static_cast<std::uint32_t>(gate_sites[ev].pos)
+                : ngates;
+        for (; pos < stop; ++pos) {
+          const PosGate& g = gates[pos];
+          const std::uint64_t w =
+              evalGateWord(g.type, val[g.in[0]], val[g.in[1]], val[g.in[2]]);
+          out[pos] = w;
+          diverged += (w ^ goodLane(w)) != 0 ? 1 : 0;
         }
-        ++ev;
+        if (pos == ngates) break;
+        const PosGate& g = gates[pos];
+        const std::uint64_t a = val[g.in[0]];
+        const std::uint64_t b = val[g.in[1]];
+        const std::uint64_t sv = val[g.in[2]];
+        const std::uint64_t w = injectAt(gate_sites, ev, pos, g.type, a, b, sv,
+                                         evalGateWord(g.type, a, b, sv));
+        out[pos] = w;
+        diverged += (w ^ goodLane(w)) != 0 ? 1 : 0;
+        ++pos;
+      }
+      load += static_cast<std::size_t>(static_cast<double>(diverged) *
+                                       topo.mean_fanout);
+    } else {
+      // Event cycle: a net diverges from the good machine -> record its
+      // diff and wake its readers.
+      auto diverge = [&](std::uint32_t slot, std::uint64_t d) {
+        diff[slot] = d;
+        written.push_back(slot);
+        const std::uint32_t b = topo.fanout_off[slot];
+        const std::uint32_t e = topo.fanout_off[slot + 1];
+        load += e - b;
+        for (std::uint32_t k = b; k < e; ++k) {
+          const std::uint32_t p = topo.fanout_pos[k];
+          pending[p >> 6] |= std::uint64_t{1} << (p & 63);
+        }
+      };
+      for (const auto& [q, d] : seeds) diverge(q, d);
+      for (InjectSite& s : source_sites) {
+        const std::uint64_t g = goodWord(row, s.slot);
+        const std::uint64_t d = inject(s, diff[s.slot] ^ g) ^ g;
+        if (diff[s.slot] != 0) {
+          diff[s.slot] = d;  // already woken by its seed
+        } else if (d != 0) {
+          diverge(s.slot, d);
+        }
+      }
+      for (const InjectSite& s : gate_sites) {
+        pending[s.pos >> 6] |= std::uint64_t{1} << (s.pos & 63);
+      }
+      for (std::size_t wi = 0; wi < pending_words; ++wi) {
+        while (pending[wi] != 0) {
+          const std::uint64_t bits = pending[wi];
+          pending[wi] = bits & (bits - 1);
+          const auto pos = static_cast<std::uint32_t>(
+              64 * wi + static_cast<std::size_t>(std::countr_zero(bits)));
+          const PosGate& g = gates[pos];
+          const std::uint64_t a = diff[g.in[0]] ^ goodWord(row, g.in[0]);
+          const std::uint64_t b = diff[g.in[1]] ^ goodWord(row, g.in[1]);
+          const std::uint64_t sv = diff[g.in[2]] ^ goodWord(row, g.in[2]);
+          std::uint64_t w = evalGateWord(g.type, a, b, sv);
+          w = injectAt(gate_sites, ev, pos, g.type, a, b, sv, w);
+          const std::uint64_t d = w ^ goodLane(w);
+          if (d != 0) diverge(topo.sources + pos, d);
+        }
       }
     }
 
     // Observe outputs.
     std::uint64_t cycle_diff = 0;
-    for (const NetId po : ctx.observe) {
-      const std::uint64_t w = val[po];
+    for (const std::uint32_t po : ctx.observe) {
+      const std::uint64_t w = word(po);
       cycle_diff |= w ^ goodLane(w);
     }
     cycle_diff &= group_mask;
@@ -224,17 +480,17 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
 
     // MISR compaction (bit-sliced across machines).
     if (want_misr) {
-      const MisrSpec& m = *opts.misr;
       auto& s = scratch.misr;
       const std::uint64_t msb = s[static_cast<std::size_t>(misr_w - 1)];
       for (int j = misr_w - 1; j >= 0; --j) {
         std::uint64_t feed = 0;
-        for (const NetId n : m.feeds[static_cast<std::size_t>(j)]) {
-          feed ^= val[n];
+        for (const std::uint32_t n :
+             ctx.misr_feeds[static_cast<std::size_t>(j)]) {
+          feed ^= word(n);
         }
         const std::uint64_t shifted =
             j > 0 ? s[static_cast<std::size_t>(j - 1)] : 0;
-        const std::uint64_t fb = ((m.poly >> j) & 1u) != 0 ? msb : 0;
+        const std::uint64_t fb = ((opts.misr->poly >> j) & 1u) != 0 ? msb : 0;
         s[static_cast<std::size_t>(j)] = shifted ^ fb ^ feed;
       }
     }
@@ -248,11 +504,11 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
       if (w_next > w_now || cycle + 1 == cycles) {
         for (int j = 0; j < misr_w; ++j) {
           const std::uint64_t taps = scratch.misr[static_cast<std::size_t>(j)];
-          const std::uint64_t diff = taps ^ goodLane(taps);
-          if (diff == 0) continue;
+          const std::uint64_t d = taps ^ goodLane(taps);
+          if (d == 0) continue;
           const int bitpos = w_now * misr_w + j;
           for (std::size_t i = 0; i < members.size(); ++i) {
-            if ((diff >> (i + 1)) & 1u) {
+            if ((d >> (i + 1)) & 1u) {
               window_sigs[i * static_cast<std::size_t>(sig_words) +
                           static_cast<std::size_t>(bitpos / 64)] |=
                   std::uint64_t{1} << (bitpos % 64);
@@ -269,11 +525,29 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
       break;
     }
 
-    // Clock edge.
-    auto& dcapt = scratch.dcapt;
-    for (std::size_t i = 0; i < dffs.size(); ++i) dcapt[i] = val[dffs[i].d];
-    for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i].q] = dcapt[i];
+    // Clock edge: only diverged D words are carried into the next cycle.
+    next.clear();
+    if (sweep) {
+      for (std::size_t i = 0; i < topo.d_slots.size(); ++i) {
+        const std::uint64_t w = val[topo.d_slots[i]];
+        const std::uint64_t d = w ^ goodLane(w);
+        if (d != 0) next.emplace_back(topo.q_slots[i], d);
+      }
+    } else {
+      for (const std::uint32_t slot : written) {
+        const std::uint64_t d = diff[slot];
+        diff[slot] = 0;
+        if (d == 0) continue;
+        for (std::uint32_t k = topo.capture_off[slot];
+             k < topo.capture_off[slot + 1]; ++k) {
+          next.emplace_back(topo.capture_q[k], d);
+        }
+      }
+      written.clear();
+    }
+    seeds.swap(next);
   }
+  for (const std::uint32_t slot : written) diff[slot] = 0;  // early exit
 
   // Fold group results back (first_detect was written at detection time).
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -287,20 +561,46 @@ void simulateGroup(const RunContext& ctx, std::span<const Fault> faults,
       }
     }
     if (want_misr) {
-      bool diff = false;
+      bool differs = false;
       for (int j = 0; j < misr_w; ++j) {
         const std::uint64_t w = scratch.misr[static_cast<std::size_t>(j)];
         if (((w >> (i + 1)) & 1u) != (w & 1u)) {
-          diff = true;
+          differs = true;
           break;
         }
       }
-      result.misr_detect[members[i]] = diff ? 1 : 0;
+      result.misr_detect[members[i]] = differs ? 1 : 0;
     }
   }
 }
 
 }  // namespace
+
+SeqFaultSim::SeqFaultSim(const Netlist& nl)
+    : nl_(nl), memo_(std::make_shared<seq_detail::TraceMemo>()) {
+  if (nl.primaryInputs().size() > 64) {
+    throw std::invalid_argument(
+        "SeqFaultSim: more than 64 primary inputs; pack the stimulus "
+        "differently");
+  }
+  topo_ = buildTopology(nl);
+}
+
+std::shared_ptr<const GoodTrace> SeqFaultSim::goodTrace(
+    std::span<const std::uint64_t> stimulus, int cycles) const {
+  const auto n = static_cast<std::size_t>(cycles);
+  std::lock_guard<std::mutex> lock(memo_->mu);
+  const auto& last = memo_->last;
+  if (last != nullptr && last->stimulus.size() >= n &&
+      std::equal(stimulus.begin(), stimulus.begin() + cycles,
+                 last->stimulus.begin())) {
+    return last;
+  }
+  // Built under the lock: concurrent shards of one campaign wait for the
+  // first one's trace instead of each simulating the good machine again.
+  memo_->last = simulateGood(*topo_, stimulus);
+  return memo_->last;
+}
 
 SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
                                std::span<const std::uint64_t> stimulus,
@@ -308,18 +608,7 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
   if (static_cast<int>(stimulus.size()) < opts.cycles) {
     throw std::invalid_argument("SeqFaultSim: stimulus shorter than cycles");
   }
-  RunContext ctx;
-  ctx.nl = &nl_;
-  ctx.lev = levelize(nl_);
-  ctx.stimulus = stimulus;
-  ctx.opts = &opts;
-  ctx.observe =
-      opts.observe.empty() ? nl_.primaryOutputs() : opts.observe;
-  ctx.driver_order_pos.assign(nl_.numNets(), -1);
-  for (std::size_t pos = 0; pos < ctx.lev.order.size(); ++pos) {
-    ctx.driver_order_pos[nl_.gates()[ctx.lev.order[pos]].out] =
-        static_cast<int>(pos);
-  }
+  requireWindowCount(opts.windows, "SeqFaultSim");
 
   SeqFsimResult result;
   result.total = faults.size();
@@ -331,6 +620,25 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
     result.window_sig.assign(
         faults.size() * static_cast<std::size_t>(result.sig_words_per_fault),
         0);
+  }
+
+  std::shared_ptr<const GoodTrace> trace;
+  if (!faults.empty() && opts.cycles > 0) {
+    trace = goodTrace(stimulus, opts.cycles);
+  }
+  RunContext ctx;
+  ctx.nl = &nl_;
+  ctx.topo = topo_.get();
+  ctx.trace = trace.get();
+  for (const NetId n : opts.observe.empty() ? nl_.primaryOutputs()
+                                            : opts.observe) {
+    ctx.observe.push_back(topo_->slot_of[n]);
+  }
+  if (opts.misr) {
+    for (const auto& feeds : opts.misr->feeds) {
+      auto& slots = ctx.misr_feeds.emplace_back();
+      for (const NetId n : feeds) slots.push_back(topo_->slot_of[n]);
+    }
   }
 
   const bool full_length = opts.windows > 0 || opts.misr.has_value();
@@ -347,13 +655,12 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
     }
     auto worker = [&](int tid) {
       GroupScratch scratch;
-      scratch.val.assign(nl_.numNets(), 0);
-      scratch.dcapt.assign(nl_.dffs().size(), 0);
-      RunContext local = ctx;  // cheap: spans/pointers + shared vectors copy
-      local.opts = &pass_opts;
+      scratch.diff.assign(topo_->slots(), 0);
+      scratch.val.assign(topo_->slots(), 0);
+      scratch.pending.assign((topo_->gates.size() + 63) / 64, 0);
       for (std::size_t g = static_cast<std::size_t>(tid); g < groups.size();
            g += static_cast<std::size_t>(nthreads)) {
-        simulateGroup(local, faults, groups[g], scratch, result);
+        simulateGroup(ctx, pass_opts, faults, groups[g], scratch, result);
       }
     };
     std::vector<std::future<void>> futs;
@@ -453,51 +760,47 @@ FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
 }
 
 std::unique_ptr<FaultSim> SeqFaultSim::clone() const {
-  return std::make_unique<SeqFaultSim>(nl_);
+  return std::make_unique<SeqFaultSim>(*this);
 }
 
 std::vector<std::uint64_t> SeqFaultSim::goodSignature(
     std::span<const std::uint64_t> stimulus, int cycles,
     const MisrSpec& misr) const {
-  std::vector<std::uint64_t> val(nl_.numNets(), 0);
-  const Levelization lev = levelize(nl_);
-  const auto& gates = nl_.gates();
-  const auto& dffs = nl_.dffs();
-  const auto& pis = nl_.primaryInputs();
-  std::vector<std::uint64_t> state(static_cast<std::size_t>(misr.width), 0);
-  std::vector<std::uint64_t> dcapt(dffs.size(), 0);
-  for (int cycle = 0; cycle < cycles; ++cycle) {
-    const std::uint64_t in = stimulus[static_cast<std::size_t>(cycle)];
-    for (std::size_t j = 0; j < pis.size(); ++j) {
-      val[pis[j]] = broadcast(((in >> j) & 1u) != 0);
-    }
-    for (const GateId g : lev.order) {
-      const Gate& gate = gates[g];
-      const std::uint64_t a = gate.nin > 0 ? val[gate.in[0]] : 0;
-      const std::uint64_t b = gate.nin > 1 ? val[gate.in[1]] : 0;
-      const std::uint64_t s = gate.nin > 2 ? val[gate.in[2]] : 0;
-      val[gate.out] = evalGateWord(gate.type, a, b, s);
-    }
-    const std::uint64_t msb = state[static_cast<std::size_t>(misr.width - 1)];
-    for (int j = misr.width - 1; j >= 0; --j) {
-      std::uint64_t feed = 0;
-      for (const NetId n : misr.feeds[static_cast<std::size_t>(j)]) {
-        feed ^= val[n];
-      }
-      const std::uint64_t shifted =
-          j > 0 ? state[static_cast<std::size_t>(j - 1)] : 0;
-      const std::uint64_t fb = ((misr.poly >> j) & 1u) != 0 ? msb : 0;
-      state[static_cast<std::size_t>(j)] = shifted ^ fb ^ feed;
-    }
-    for (std::size_t i = 0; i < dffs.size(); ++i) dcapt[i] = val[dffs[i].d];
-    for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i].q] = dcapt[i];
+  if (static_cast<int>(stimulus.size()) < cycles) {
+    throw std::invalid_argument(
+        "SeqFaultSim::goodSignature: stimulus shorter than cycles");
   }
-  // Collapse lane 0 into a bit-per-tap signature word vector.
-  std::vector<std::uint64_t> sig(1, 0);
-  for (int j = 0; j < misr.width; ++j) {
-    sig[0] |= (state[static_cast<std::size_t>(j)] & 1u) << j;
+  if (misr.width < 1 || misr.width > 64) {
+    throw std::invalid_argument(
+        "SeqFaultSim::goodSignature: MISR width outside [1, 64]");
   }
-  return sig;
+  // The MISR as one word: tap j is bit j, shifting toward the MSB. No
+  // trace is kept: the fold runs inside the good-machine loop.
+  const std::uint64_t keep = misr.width == 64
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << misr.width) - 1;
+  std::vector<std::vector<std::uint32_t>> feeds(misr.feeds.size());
+  for (std::size_t j = 0; j < feeds.size(); ++j) {
+    for (const NetId n : misr.feeds[j]) feeds[j].push_back(topo_->slot_of[n]);
+  }
+  std::uint64_t state = 0;
+  std::vector<std::uint64_t> val(topo_->slots(), 0);
+  runGoodMachine(*topo_, stimulus, cycles, val,
+                 [&](int, const std::vector<std::uint64_t>& v) {
+                   std::uint64_t feed = 0;
+                   for (int j = 0; j < misr.width; ++j) {
+                     std::uint64_t bit = 0;
+                     for (const std::uint32_t slot :
+                          feeds[static_cast<std::size_t>(j)]) {
+                       bit ^= v[slot] & 1u;
+                     }
+                     feed |= bit << j;
+                   }
+                   const std::uint64_t msb = (state >> (misr.width - 1)) & 1u;
+                   state = ((state << 1) ^ (msb != 0 ? misr.poly : 0) ^ feed) &
+                           keep;
+                 });
+  return {state};
 }
 
 }  // namespace corebist

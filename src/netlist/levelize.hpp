@@ -13,7 +13,8 @@
 namespace corebist {
 
 struct Levelization {
-  /// Gate ids in topological order.
+  /// Gate ids in topological order, lowest ready id first (as close to
+  /// creation order as the dependencies allow; not level-major).
   std::vector<GateId> order;
   /// Logic level of each gate (same indexing as Netlist::gates()).
   std::vector<int> level;

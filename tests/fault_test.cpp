@@ -1,10 +1,12 @@
 // Fault model, collapsing, and both fault-simulation engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
+#include "fault/parallel_fsim.hpp"
 #include "fault/seq_fsim.hpp"
 #include "netlist/builder.hpp"
 #include "sim/comb_sim.hpp"
@@ -301,6 +303,84 @@ TEST(SeqFaultSim, MisrDetectionTracksOutputDetection) {
   // Aliasing is possible but rare: expect nearly all detected faults to
   // also differ in the MISR.
   EXPECT_GE(misr_detected + 2, r.detected);
+}
+
+TEST(FaultSimWindows, WindowCountsAbove64ThrowOnEveryEngine) {
+  // Window masks are one 64-bit word per fault: 64 windows fill it, 65
+  // would shift past bit 63.
+  const Netlist seq_nl = makeCounterCircuit();
+  const FaultUniverse su = enumerateStuckAt(seq_nl);
+  const std::vector<std::uint64_t> stim(128, 1);
+  const CyclePatternSource cycles(stim, seq_nl.primaryInputs().size());
+  const Netlist comb_nl = makeSmallComb();
+  const FaultUniverse cu = enumerateStuckAt(comb_nl);
+  const RandomPatternSource patterns(3, comb_nl.primaryInputs().size(), 128);
+  FaultSimOptions opts;
+  opts.cycles = 128;
+
+  SeqFaultSim seq(seq_nl);
+  ParallelFaultSim par_seq(SeqFaultSim{seq_nl}, ParallelFsimOptions{2, 63});
+  CombFaultSim comb(comb_nl, comb_nl.primaryInputs(),
+                    comb_nl.primaryOutputs());
+  ParallelFaultSim par_comb(comb, ParallelFsimOptions{2, 63});
+  for (const int bad : {65, -1}) {
+    opts.windows = bad;
+    EXPECT_THROW((void)seq.run(su.faults, stim, opts), std::invalid_argument);
+    EXPECT_THROW((void)par_seq.run(su.faults, cycles, opts),
+                 std::invalid_argument);
+    EXPECT_THROW((void)comb.run(cu.faults, patterns, opts),
+                 std::invalid_argument);
+    EXPECT_THROW((void)par_comb.run(cu.faults, patterns, opts),
+                 std::invalid_argument);
+  }
+
+  // 64 windows of two patterns each: some fault is detected in the last
+  // window, so bit 63 is set and nothing shifts past it.
+  opts.windows = 64;
+  const auto has_top = [](const FaultSimResult& r) {
+    return std::any_of(r.window_mask.begin(), r.window_mask.end(),
+                       [](std::uint64_t m) { return (m >> 63) != 0; });
+  };
+  const auto rs = seq.run(su.faults, stim, opts);
+  EXPECT_EQ(par_seq.run(su.faults, cycles, opts).window_mask, rs.window_mask);
+  EXPECT_TRUE(has_top(rs));
+  const auto rc = comb.run(cu.faults, patterns, opts);
+  EXPECT_EQ(par_comb.run(cu.faults, patterns, opts).window_mask,
+            rc.window_mask);
+  EXPECT_TRUE(has_top(rc));
+}
+
+TEST(SeqFaultSim, GoodSignatureRejectsShortStimulus) {
+  const Netlist nl = makeCounterCircuit();
+  const SeqFaultSim fsim(nl);
+  MisrSpec misr;
+  misr.width = 4;
+  misr.poly = 0b0011;
+  misr.feeds = {{nl.primaryOutputs()[0]}, {}, {}, {}};
+  const std::vector<std::uint64_t> stim(16, 1);
+  EXPECT_THROW((void)fsim.goodSignature(stim, 17, misr), std::invalid_argument);
+  EXPECT_EQ(fsim.goodSignature(stim, 16, misr).size(), 1u);
+}
+
+TEST(SeqFaultSim, GoodSignatureRejectsMisrWidthOutsideOneWord) {
+  const Netlist nl = makeCounterCircuit();
+  const SeqFaultSim fsim(nl);
+  const std::vector<std::uint64_t> stim(16, 1);
+  for (const int width : {0, 65}) {
+    MisrSpec misr;
+    misr.width = width;
+    misr.feeds.resize(static_cast<std::size_t>(width));
+    EXPECT_THROW((void)fsim.goodSignature(stim, 16, misr),
+                 std::invalid_argument)
+        << "width " << width;
+  }
+  MisrSpec full;
+  full.width = 64;
+  full.poly = 0x1B;
+  full.feeds.resize(64);
+  full.feeds[0] = {nl.primaryOutputs()[0]};
+  full.feeds[63] = {nl.primaryOutputs()[1]};
+  EXPECT_NE(fsim.goodSignature(stim, 16, full)[0], 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the netlist container, builder and levelization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <random>
 
@@ -114,12 +115,16 @@ TEST(Levelize, OrderRespectsDependencies) {
     pos[lev.order[i]] = static_cast<int>(i);
   }
   for (GateId g = 0; g < nl.numGates(); ++g) {
+    int level = 0;
     for (int p = 0; p < nl.gates()[g].nin; ++p) {
       const GateId drv = nl.driverOf(nl.gates()[g].in[static_cast<std::size_t>(p)]);
       if (drv != Netlist::kNoDriver) {
         EXPECT_LT(pos[drv], pos[g]);
+        level = std::max(level, lev.level[drv] + 1);
       }
     }
+    EXPECT_EQ(lev.level[g], level);
+    EXPECT_LE(lev.level[g], lev.depth);
   }
 }
 

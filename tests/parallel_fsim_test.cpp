@@ -13,6 +13,7 @@
 #include "fault/parallel_fsim.hpp"
 #include "fault/seq_fsim.hpp"
 #include "netlist/builder.hpp"
+#include "seq_sweep_reference.hpp"
 
 namespace corebist {
 namespace {
@@ -184,6 +185,115 @@ TEST_P(ParallelEquivalence, WindowedMisrRecordsMatchSerial) {
   EXPECT_EQ(r.misr_detect, ref.misr_detect);
   EXPECT_EQ(r.sig_words_per_fault, ref.sig_words_per_fault);
   EXPECT_EQ(r.window_sig, ref.window_sig);
+}
+
+void expectSameRecords(const FaultSimResult& got, const FaultSimResult& want,
+                       const char* what) {
+  EXPECT_EQ(got.first_detect, want.first_detect) << what;
+  EXPECT_EQ(got.window_mask, want.window_mask) << what;
+  EXPECT_EQ(got.misr_detect, want.misr_detect) << what;
+  EXPECT_EQ(got.sig_words_per_fault, want.sig_words_per_fault) << what;
+  EXPECT_EQ(got.window_sig, want.window_sig) << what;
+  EXPECT_EQ(got.detect_patterns, want.detect_patterns) << what;
+  EXPECT_EQ(got.detected, want.detected) << what;
+  EXPECT_EQ(got.patterns_applied, want.patterns_applied) << what;
+}
+
+TEST_P(ParallelEquivalence, SeqKernelMatchesSweepReference) {
+  // The activity-gated kernel against the full-sweep kernel it replaced.
+  // The small netlist graded on its whole universe keeps most machines
+  // diverged (mostly swept cycles); the large one graded on a few faults
+  // diverges in small cones (mostly event-driven cycles), and detections
+  // and captures move groups between the two.
+  struct Shape {
+    int state_bits;
+    int gates;
+    std::size_t faults;  // 0 => whole universe
+  };
+  for (const Shape shape : {Shape{5, 70, 0}, Shape{24, 900, 45}}) {
+    const Netlist nl =
+        randomSeq(GetParam() ^ static_cast<std::uint64_t>(shape.gates), 8,
+                  shape.state_bits, shape.gates);
+    std::vector<Fault> faults = enumerateStuckAt(nl).faults;
+    if (shape.faults > 0) {
+      std::mt19937_64 rng(GetParam());
+      std::shuffle(faults.begin(), faults.end(), rng);
+      faults.resize(shape.faults);
+    }
+    for (const Fault& f : toTransitionFaults(faults)) faults.push_back(f);
+    const auto stim = randomStimulus(GetParam() ^ 0x5EE9, 160, 8);
+
+    MisrSpec misr;
+    misr.width = 9;
+    misr.poly = 0b000010001;  // x^9 + x^4 + 1
+    misr.feeds.resize(9);
+    const auto& pos = nl.primaryOutputs();
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      misr.feeds[i % 9].push_back(pos[i]);
+    }
+
+    SeqFsimOptions drop;
+    drop.cycles = 160;
+    drop.prepass_cycles = 16;
+    drop.num_threads = 2;
+    SeqFsimOptions no_drop = drop;
+    no_drop.drop_detected = false;
+    SeqFsimOptions records = drop;
+    records.windows = 20;
+    records.misr = misr;
+    SeqFsimOptions observed = drop;  // first-K records at internal points
+    observed.record_detections = 3;
+    observed.observe = {pos[0], nl.dffs()[0].d, nl.dffs()[1].q};
+
+    for (const SeqFsimOptions* opts : {&drop, &no_drop, &records, &observed}) {
+      const FaultSimResult want =
+          testref::sweepReferenceRun(nl, faults, stim, *opts);
+      expectSameRecords(SeqFaultSim(nl).run(faults, stim, *opts), want,
+                        "gated kernel vs sweep reference");
+    }
+    EXPECT_EQ(SeqFaultSim(nl).goodSignature(stim, 160, misr),
+              std::vector<std::uint64_t>{
+                  testref::sweepGoodSignature(nl, stim, 160, misr)});
+  }
+}
+
+TEST(SeqTraceMemo, ResultsFollowStimulusContentNotItsAddress) {
+  // One engine family grades A, then B written over A's buffer in place
+  // (same pointer, same length), then A again: a trace memo keyed by the
+  // buffer's address would hand B (and the second A) a stale good machine.
+  const Netlist nl = randomSeq(77, 8, 6, 120);
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const auto a = randomStimulus(1, 128, 8);
+  const auto b = randomStimulus(2, 128, 8);
+
+  SeqFsimOptions drop;  // ladder stages 16, 64, 128 reuse one trace
+  drop.cycles = 128;
+  drop.prepass_cycles = 16;
+  SeqFsimOptions records;
+  records.cycles = 128;
+  records.windows = 8;
+  records.misr = MisrSpec{4, 0b0011, {{nl.primaryOutputs()[0]},
+                                      {nl.primaryOutputs()[1]},
+                                      {nl.primaryOutputs()[2]},
+                                      {nl.primaryOutputs()[3]}}};
+
+  ParallelFsimOptions popts;
+  popts.num_threads = 2;
+  popts.shard_faults = 31;
+  ParallelFaultSim psim(SeqFaultSim{nl}, popts);
+  std::vector<std::uint64_t> buf = a;
+  for (const auto* stim : {&a, &b, &a}) {
+    std::copy(stim->begin(), stim->end(), buf.begin());
+    const CyclePatternSource patterns(buf, nl.primaryInputs().size());
+    for (const SeqFsimOptions* opts : {&drop, &records}) {
+      const FaultSimResult got = psim.run(u.faults, patterns, *opts);
+      const FaultSimResult fresh = SeqFaultSim(nl).run(u.faults, *stim, *opts);
+      expectSameRecords(got, fresh, stim == &a ? "stimulus A" : "stimulus B");
+    }
+  }
+  // The two stimuli must actually grade differently for the check to bite.
+  EXPECT_NE(SeqFaultSim(nl).run(u.faults, a, drop).first_detect,
+            SeqFaultSim(nl).run(u.faults, b, drop).first_detect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,

@@ -3,11 +3,15 @@
 // linearity, scan-view vs functional semantics) to each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
+#include <span>
 
 #include "bist/misr.hpp"
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
+#include "fault/parallel_fsim.hpp"
 #include "fault/seq_fsim.hpp"
 #include "netlist/builder.hpp"
 #include "scan/scan.hpp"
@@ -197,6 +201,299 @@ TEST(FaultProperty, SaFaultOnNetWithConstantValueIsUndetectable) {
   const Fault sa1{t, Fault::kNoGate, 0, FaultKind::kSa1};
   EXPECT_TRUE(fsim.detect(sa1).any());
 }
+
+/// Random sequential circuit with flip-flop feedback: a combinational core
+/// over the inputs and the state register, whose tail drives most D inputs.
+/// Flop 0 captures a primary input and flop 1 captures flop 0 directly
+/// (source-to-source captures), and the last flop is also an output.
+Netlist randomFeedbackSeq(std::uint64_t seed, int width, int state_bits,
+                          int gates) {
+  Netlist nl("rand_fb");
+  Builder b(nl);
+  const Bus x = b.input("x", width);
+  const Bus q = b.state("q", state_bits);
+  std::vector<NetId> pool(x.begin(), x.end());
+  pool.insert(pool.end(), q.begin(), q.end());
+  std::mt19937_64 rng(seed);
+  for (int g = 0; g < gates; ++g) {
+    const auto t = static_cast<GateType>(2 + rng() % 9);  // kBuf .. kMux2
+    const NetId a = pool[rng() % pool.size()];
+    const NetId bnet = pool[rng() % pool.size()];
+    const NetId s = pool[rng() % pool.size()];
+    switch (gateArity(t)) {
+      case 1:
+        pool.push_back(nl.addGate1(t, a));
+        break;
+      case 2:
+        pool.push_back(nl.addGate2(t, a, bnet));
+        break;
+      default:
+        pool.push_back(nl.addMux(a, bnet, s));
+        break;
+    }
+  }
+  Bus d(pool.end() - state_bits, pool.end());
+  d[0] = x[0];
+  d[1] = q[0];
+  b.connect(q, d);
+  Bus outs(pool.end() - 5, pool.end());
+  outs.push_back(q[static_cast<std::size_t>(state_bits - 1)]);
+  b.output("y", outs);
+  nl.validate();
+  return nl;
+}
+
+/// Per-fault records of the scalar oracle, in FaultSimResult layout.
+struct OracleRecords {
+  std::vector<std::int32_t> first_detect;
+  std::vector<std::uint64_t> window_mask;
+  std::vector<char> misr_detect;
+  std::vector<std::uint64_t> window_sig;
+};
+
+/// Scalar sequential oracle: one machine at a time, one bool per net, each
+/// net computed from its driver on demand. It shares no code with the
+/// fault-parallel kernel: faults are single (stem or branch, stuck-at or
+/// gross-delay transition), the MISR shifts bit by bit, and windows are
+/// recomputed from the definition.
+class ScalarSeqOracle {
+ public:
+  ScalarSeqOracle(const Netlist& nl, std::span<const std::uint64_t> stim,
+                  int cycles, int windows, const MisrSpec& misr)
+      : nl_(nl), stim_(stim), cycles_(cycles), windows_(windows), misr_(misr) {
+    good_ = simulate(nullptr);
+  }
+
+  OracleRecords grade(std::span<const Fault> faults) const {
+    OracleRecords r;
+    const int sig_words = (windows_ * misr_.width + 63) / 64;
+    r.window_sig.assign(faults.size() * static_cast<std::size_t>(sig_words), 0);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const Trace bad = simulate(&faults[i]);
+      std::int32_t first = -1;
+      std::uint64_t mask = 0;
+      for (int c = 0; c < cycles_; ++c) {
+        const auto cu = static_cast<std::size_t>(c);
+        if (bad.outputs[cu] == good_.outputs[cu]) continue;
+        if (first < 0) first = c;
+        mask |= std::uint64_t{1} << (c * windows_ / cycles_);
+      }
+      for (int c = 0; c < cycles_; ++c) {
+        const int w = c * windows_ / cycles_;
+        if ((c + 1) * windows_ / cycles_ == w && c + 1 != cycles_) continue;
+        const auto cu = static_cast<std::size_t>(c);
+        for (int j = 0; j < misr_.width; ++j) {
+          if (bad.misr[cu][static_cast<std::size_t>(j)] ==
+              good_.misr[cu][static_cast<std::size_t>(j)]) {
+            continue;
+          }
+          const int bit = w * misr_.width + j;
+          r.window_sig[i * static_cast<std::size_t>(sig_words) +
+                       static_cast<std::size_t>(bit / 64)] |=
+              std::uint64_t{1} << (bit % 64);
+        }
+      }
+      r.first_detect.push_back(first);
+      r.window_mask.push_back(mask);
+      r.misr_detect.push_back(bad.misr.back() != good_.misr.back() ? 1 : 0);
+    }
+    return r;
+  }
+
+ private:
+  struct Trace {
+    std::vector<std::vector<bool>> outputs;  // per cycle, per output
+    std::vector<std::vector<bool>> misr;     // per cycle, per tap
+  };
+
+  static bool evalGate(GateType t, bool a, bool b, bool s) {
+    switch (t) {
+      case GateType::kConst0: return false;
+      case GateType::kConst1: return true;
+      case GateType::kBuf: return a;
+      case GateType::kNot: return !a;
+      case GateType::kAnd: return a && b;
+      case GateType::kNand: return !(a && b);
+      case GateType::kOr: return a || b;
+      case GateType::kNor: return !(a || b);
+      case GateType::kXor: return a != b;
+      case GateType::kXnor: return a == b;
+      case GateType::kMux2: return s ? b : a;
+    }
+    return false;
+  }
+
+  /// What a faulty site shows in place of its raw value this cycle.
+  static bool present(const Fault& f, bool raw, bool prev) {
+    switch (f.kind) {
+      case FaultKind::kSa0: return false;
+      case FaultKind::kSa1: return true;
+      case FaultKind::kSlowRise: return raw && prev;
+      case FaultKind::kSlowFall: return raw || prev;
+    }
+    return raw;
+  }
+
+  Trace simulate(const Fault* f) const {
+    const auto& dffs = nl_.dffs();
+    std::vector<bool> state(dffs.size(), false);
+    std::vector<bool> taps(static_cast<std::size_t>(misr_.width), false);
+    bool prev = false;  // raw site value of the previous cycle
+    Trace t;
+    for (int c = 0; c < cycles_; ++c) {
+      std::vector<int> v(nl_.numNets(), -1);
+      bool raw = false;
+      for (std::size_t j = 0; j < nl_.primaryInputs().size(); ++j) {
+        v[nl_.primaryInputs()[j]] =
+            static_cast<int>((stim_[static_cast<std::size_t>(c)] >> j) & 1u);
+      }
+      for (std::size_t i = 0; i < dffs.size(); ++i) {
+        v[dffs[i].q] = state[i] ? 1 : 0;
+      }
+      if (f != nullptr && f->isStem() && v[f->net] >= 0) {
+        raw = v[f->net] != 0;
+        v[f->net] = present(*f, raw, prev) ? 1 : 0;
+      }
+      // On-demand evaluation from each net's driver.
+      std::function<bool(NetId)> value = [&](NetId n) -> bool {
+        if (v[n] >= 0) return v[n] != 0;
+        const GateId g = nl_.driverOf(n);
+        bool out = false;
+        if (g != Netlist::kNoDriver) {
+          const Gate& gate = nl_.gates()[g];
+          bool in[3] = {false, false, false};
+          for (int p = 0; p < gate.nin; ++p) {
+            in[p] = value(gate.in[static_cast<std::size_t>(p)]);
+            if (f != nullptr && f->gate == g && f->pin == p) {
+              raw = in[p];
+              in[p] = present(*f, raw, prev);
+            }
+          }
+          out = evalGate(gate.type, in[0], in[1], in[2]);
+        }
+        if (f != nullptr && f->isStem() && f->net == n) {
+          raw = out;
+          out = present(*f, raw, prev);
+        }
+        v[n] = out ? 1 : 0;
+        return out;
+      };
+      for (NetId n = 0; n < nl_.numNets(); ++n) value(n);
+      prev = raw;
+
+      std::vector<bool> outs;
+      for (const NetId po : nl_.primaryOutputs()) outs.push_back(v[po] != 0);
+      t.outputs.push_back(outs);
+      // MISR: tap j takes tap j-1, the feedback where the polynomial has a
+      // term, and the XOR of its feeds.
+      const bool msb = taps.back();
+      std::vector<bool> next(taps.size());
+      for (int j = 0; j < misr_.width; ++j) {
+        bool bit = j > 0 && taps[static_cast<std::size_t>(j - 1)];
+        if (((misr_.poly >> j) & 1u) != 0) bit = bit != msb;
+        for (const NetId n : misr_.feeds[static_cast<std::size_t>(j)]) {
+          bit = bit != (v[n] != 0);
+        }
+        next[static_cast<std::size_t>(j)] = bit;
+      }
+      taps = next;
+      t.misr.push_back(taps);
+      for (std::size_t i = 0; i < dffs.size(); ++i) {
+        state[i] = v[dffs[i].d] != 0;
+      }
+    }
+    return t;
+  }
+
+  const Netlist& nl_;
+  std::span<const std::uint64_t> stim_;
+  int cycles_;
+  int windows_;
+  const MisrSpec& misr_;
+  Trace good_;
+};
+
+class SeqOracleProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SeqOracleProperty, SeqFaultSimMatchesScalarOracle) {
+  const Netlist nl = randomFeedbackSeq(GetParam(), 6, 5, 45);
+  const std::vector<Fault> saf =
+      enumerateStuckAt(nl, /*collapse=*/false).faults;
+  std::vector<Fault> faults = saf;
+  for (const Fault& f : toTransitionFaults(saf)) faults.push_back(f);
+
+  // The universe covers every kind of site the kernel injects differently.
+  const auto has = [&](auto pred) {
+    return std::any_of(faults.begin(), faults.end(), pred);
+  };
+  EXPECT_TRUE(has([&](const Fault& f) {
+    return f.isStem() && nl.driverOf(f.net) == Netlist::kNoDriver &&
+           !nl.isStateNet(f.net);
+  }));  // primary-input stems
+  EXPECT_TRUE(has([&](const Fault& f) {
+    return f.isStem() && nl.isStateNet(f.net);
+  }));  // flip-flop output stems
+  EXPECT_TRUE(has([&](const Fault& f) {
+    return f.isStem() && nl.driverOf(f.net) != Netlist::kNoDriver;
+  }));  // gate-output stems
+  EXPECT_TRUE(has([](const Fault& f) { return !f.isStem(); }));  // branches
+  for (const FaultKind k : {FaultKind::kSa0, FaultKind::kSa1,
+                            FaultKind::kSlowRise, FaultKind::kSlowFall}) {
+    EXPECT_TRUE(has([k](const Fault& f) { return f.kind == k; }));
+  }
+
+  const int cycles = 96;
+  const int windows = 8;
+  std::mt19937_64 rng(GetParam() ^ 0x5EED);
+  std::vector<std::uint64_t> stim(static_cast<std::size_t>(cycles));
+  for (auto& w : stim) w = rng() & 0x3Fu;
+  MisrSpec misr;
+  misr.width = 5;
+  misr.poly = 0b00101;  // x^5 + x^2 + 1
+  misr.feeds.resize(5);
+  const auto& pos = nl.primaryOutputs();
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    misr.feeds[i % 5].push_back(pos[i]);
+  }
+
+  const OracleRecords want =
+      ScalarSeqOracle(nl, stim, cycles, windows, misr).grade(faults);
+  EXPECT_GT(std::count_if(want.first_detect.begin(), want.first_detect.end(),
+                          [](std::int32_t fd) { return fd >= 0; }),
+            static_cast<std::ptrdiff_t>(faults.size() / 4));
+
+  SeqFsimOptions drop;
+  drop.cycles = cycles;
+  drop.prepass_cycles = 8;  // ladder 8, 32, 96
+  drop.num_threads = 1;
+  SeqFsimOptions no_drop = drop;
+  no_drop.drop_detected = false;
+  no_drop.prepass_cycles = 0;
+  SeqFsimOptions records = drop;
+  records.windows = windows;
+  records.misr = misr;
+
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  ParallelFsimOptions popts;
+  popts.num_threads = 2;
+  popts.shard_faults = 40;
+  for (const SeqFsimOptions* opts : {&drop, &no_drop, &records}) {
+    const SeqFsimResult serial = SeqFaultSim(nl).run(faults, stim, *opts);
+    ParallelFaultSim sharded(SeqFaultSim{nl}, popts);
+    const FaultSimResult parallel = sharded.run(faults, patterns, *opts);
+    for (const FaultSimResult* got : {&serial, &parallel}) {
+      EXPECT_EQ(got->first_detect, want.first_detect);
+      if (opts == &records) {
+        EXPECT_EQ(got->window_mask, want.window_mask);
+        EXPECT_EQ(got->misr_detect, want.misr_detect);
+        EXPECT_EQ(got->window_sig, want.window_sig);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeqOracleProperty,
+                         ::testing::Values(7, 19, 31, 43));
 
 }  // namespace
 }  // namespace corebist
