@@ -8,7 +8,8 @@
 // median wall time (generation + batch grading); podem_calls counts PODEM
 // invocations — the term that dominates once random coverage plateaus, and
 // the one batch grading shrinks by dropping collateral detections across
-// the whole batch before the next target is chosen. The thread sweep
+// the whole batch before the next target is chosen. podem_calls_per_s is
+// podem_calls per second of the same median wall time. The thread sweep
 // re-runs batch grading sharded across a ParallelFaultSim and (in --quick
 // CI mode, where the CPU budget never binds) exits nonzero if any outcome
 // field diverges from the serial run.
@@ -40,17 +41,22 @@ struct Row {
   [[nodiscard]] double patternsPerSec() const {
     return t.median > 0 ? static_cast<double>(res.patterns) / t.median : 0.0;
   }
+  [[nodiscard]] double podemCallsPerSec() const {
+    return t.median > 0 ? static_cast<double>(res.podem_calls) / t.median
+                        : 0.0;
+  }
 };
 
 void printRow(const Row& r) {
   std::printf("  %-13s %-4s %-8s %d thr  %7.3fs med (%7.3fs min)  "
               "FC %6.2f%%  %6zu patterns  %8.0f patterns/s  "
-              "%6zu podem calls  %7zu backtracks  %4zu batches  "
-              "%5zu aborted  %5zu collapsed\n",
+              "%6zu podem calls  %8.0f calls/s  %7zu backtracks  "
+              "%4zu batches  %5zu aborted  %5zu collapsed\n",
               r.module.c_str(), r.fault_type.c_str(), r.mode.c_str(),
               r.threads, r.t.median, r.t.min, r.res.coverage(),
               r.res.patterns, r.patternsPerSec(), r.res.podem_calls,
-              r.res.backtracks, r.res.batches, r.res.aborted,
+              r.podemCallsPerSec(), r.res.backtracks, r.res.batches,
+              r.res.aborted,
               r.res.collapsed_faults);
 }
 
@@ -223,13 +229,14 @@ int main(int argc, char** argv) {
         "\"podem_calls\": %zu, \"scoap_backtracks\": %zu, "
         "\"collapsed_faults\": %zu, \"batches\": %zu, "
         "\"seconds_median\": %.4f, \"seconds_min\": %.4f, "
-        "\"patterns_per_sec\": %.1f}%s\n",
+        "\"patterns_per_sec\": %.1f, \"podem_calls_per_s\": %.1f}%s\n",
         r.module.c_str(), r.fault_type.c_str(), r.threads, r.mode.c_str(),
         r.res.total_faults, r.res.detected, jsonFinite(r.res.coverage()),
         r.res.aborted, r.res.patterns, r.res.test_cycles, r.res.podem_calls,
         r.res.backtracks, r.res.collapsed_faults, r.res.batches,
         jsonFinite(r.t.median), jsonFinite(r.t.min),
-        jsonFinite(r.patternsPerSec()), i + 1 < rows.size() ? "," : "");
+        jsonFinite(r.patternsPerSec()), jsonFinite(r.podemCallsPerSec()),
+        i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -67,6 +67,12 @@ std::optional<Tv> controllingValue(GateType t) {
   }
 }
 
+/// Good and faulty values both binary and different: the fault effect is
+/// visible on this net.
+bool isDivergent(Tv g, Tv f) { return g != Tv::kX && f != Tv::kX && g != f; }
+
+constexpr std::uint32_t kNotDivergent = 0xFFFF'FFFFu;
+
 /// Does the gate invert (for backtrace parity)?
 bool inverts(GateType t) {
   return t == GateType::kNot || t == GateType::kNand || t == GateType::kNor ||
@@ -80,11 +86,14 @@ Podem::Podem(const Netlist& nl, std::span<const NetId> inputs,
     : nl_(nl),
       lev_(levelize(nl)),
       inputs_(inputs.begin(), inputs.end()),
-      observed_(observed.begin(), observed.end()),
       observed_flag_(nl.numNets(), 0),
       input_of_net_(nl.numNets(), -1),
-      backtrack_limit_(backtrack_limit) {
-  for (const NetId n : observed_) observed_flag_[n] = 1;
+      readers_(nl.readerCsr()),
+      backtrack_limit_(backtrack_limit),
+      bucket_(static_cast<std::size_t>(lev_.depth) + 1),
+      queued_(nl.numGates(), 0),
+      lo_level_(lev_.depth + 1) {
+  for (const NetId n : observed) observed_flag_[n] = 1;
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     input_of_net_[inputs_[i]] = static_cast<int>(i);
   }
@@ -92,65 +101,139 @@ Podem::Podem(const Netlist& nl, std::span<const NetId> inputs,
 
 void Podem::implyAll() {
   // Load input assignment, then forward-simulate both planes.
-  std::fill(gval_.begin(), gval_.end(), Tv::kX);
-  std::fill(fval_.begin(), fval_.end(), Tv::kX);
+  gval_.assign(nl_.numNets(), Tv::kX);
+  fval_.assign(nl_.numNets(), Tv::kX);
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     gval_[inputs_[i]] = assignment_[i];
     fval_[inputs_[i]] = assignment_[i];
   }
   // Stem fault on an input/source net.
-  if (fault_.isStem()) {
-    fval_[fault_.net] = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
-  }
+  if (fault_.isStem()) fval_[fault_.net] = stuck_;
   const auto& gates = nl_.gates();
   for (const GateId g : lev_.order) {
-    const Gate& gate = gates[g];
-    const Tv ga = gate.nin > 0 ? gval_[gate.in[0]] : Tv::kX;
-    const Tv gb = gate.nin > 1 ? gval_[gate.in[1]] : Tv::kX;
-    const Tv gs = gate.nin > 2 ? gval_[gate.in[2]] : Tv::kX;
-    gval_[gate.out] = tvEval(gate.type, ga, gb, gs);
-    Tv fa = gate.nin > 0 ? fval_[gate.in[0]] : Tv::kX;
-    Tv fb = gate.nin > 1 ? fval_[gate.in[1]] : Tv::kX;
-    Tv fs = gate.nin > 2 ? fval_[gate.in[2]] : Tv::kX;
-    if (!fault_.isStem() && fault_.gate == g) {
-      const Tv forced = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
-      if (fault_.pin == 0) fa = forced;
-      if (fault_.pin == 1) fb = forced;
-      if (fault_.pin == 2) fs = forced;
-    }
-    Tv fv = tvEval(gate.type, fa, fb, fs);
-    fval_[gate.out] = fv;
-    if (fault_.isStem() && gate.out == fault_.net) {
-      fval_[gate.out] = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
+    const NetId out = gates[g].out;
+    evalGate(g, gval_[out], fval_[out]);
+  }
+
+  trail_.clear();
+  divergent_.clear();
+  divergent_slot_.assign(nl_.numNets(), kNotDivergent);
+  divergent_sorted_ = true;
+  observed_divergent_ = 0;
+  for (NetId n = 0; n < nl_.numNets(); ++n) {
+    if (isDivergent(gval_[n], fval_[n])) markDivergent(n, true);
+  }
+}
+
+void Podem::evalGate(GateId g, Tv& gv, Tv& fv) const {
+  const Gate& gate = nl_.gates()[g];
+  const Tv ga = gate.nin > 0 ? gval_[gate.in[0]] : Tv::kX;
+  const Tv gb = gate.nin > 1 ? gval_[gate.in[1]] : Tv::kX;
+  const Tv gs = gate.nin > 2 ? gval_[gate.in[2]] : Tv::kX;
+  gv = tvEval(gate.type, ga, gb, gs);
+  Tv fa = gate.nin > 0 ? fval_[gate.in[0]] : Tv::kX;
+  Tv fb = gate.nin > 1 ? fval_[gate.in[1]] : Tv::kX;
+  Tv fs = gate.nin > 2 ? fval_[gate.in[2]] : Tv::kX;
+  if (fault_.gate == g) {  // branch fault: force the pin
+    if (fault_.pin == 0) fa = stuck_;
+    if (fault_.pin == 1) fb = stuck_;
+    if (fault_.pin == 2) fs = stuck_;
+  }
+  fv = tvEval(gate.type, fa, fb, fs);
+  if (fault_.isStem() && gate.out == fault_.net) fv = stuck_;
+}
+
+void Podem::markDivergent(NetId n, bool divergent) {
+  if (divergent) {
+    divergent_slot_[n] = static_cast<std::uint32_t>(divergent_.size());
+    if (!divergent_.empty() && divergent_.back() > n) divergent_sorted_ = false;
+    divergent_.push_back(n);
+  } else {
+    // Swap-remove; the moved net takes over the freed slot.
+    const std::uint32_t slot = divergent_slot_[n];
+    const NetId last = divergent_.back();
+    divergent_[slot] = last;
+    divergent_slot_[last] = slot;
+    divergent_.pop_back();
+    divergent_slot_[n] = kNotDivergent;
+    if (last != n) divergent_sorted_ = false;
+  }
+  if (observed_flag_[n] != 0) {
+    if (divergent) {
+      ++observed_divergent_;
+    } else {
+      --observed_divergent_;
     }
   }
 }
 
-bool Podem::faultDetectedAtOutput() const {
-  for (const NetId n : observed_) {
-    const Tv g = gval_[n];
-    const Tv f = fval_[n];
-    if (g != Tv::kX && f != Tv::kX && g != f) return true;
+void Podem::writeNet(NetId n, Tv g, Tv f) {
+  const bool was = isDivergent(gval_[n], fval_[n]);
+  gval_[n] = g;
+  fval_[n] = f;
+  const bool now = isDivergent(g, f);
+  if (was != now) markDivergent(n, now);
+}
+
+void Podem::setNet(NetId n, Tv g, Tv f) {
+  trail_.push_back(TrailEntry{n, gval_[n], fval_[n]});
+  writeNet(n, g, f);
+  for (const NetReader& r : readers_.of(n)) {
+    if (queued_[r.gate] != 0) continue;
+    queued_[r.gate] = 1;
+    const int lvl = lev_.level[r.gate];
+    bucket_[static_cast<std::size_t>(lvl)].push_back(r.gate);
+    lo_level_ = std::min(lo_level_, lvl);
+    hi_level_ = std::max(hi_level_, lvl);
   }
-  return false;
 }
 
-bool Podem::faultActivated() const {
-  const Tv g = gval_[fault_.isStem() ? fault_.net : fault_.net];
-  const Tv bad = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
-  return g != Tv::kX && g != bad;
+void Podem::propagate() {
+  // Readers sit at strictly higher levels than their drivers, so one
+  // ascending pass settles every scheduled gate after all of its inputs.
+  const auto& gates = nl_.gates();
+  for (int lvl = lo_level_; lvl <= hi_level_; ++lvl) {
+    std::vector<GateId>& due = bucket_[static_cast<std::size_t>(lvl)];
+    for (const GateId g : due) {
+      queued_[g] = 0;
+      const NetId out = gates[g].out;
+      Tv gv = Tv::kX;
+      Tv fv = Tv::kX;
+      evalGate(g, gv, fv);
+      if (gv != gval_[out] || fv != fval_[out]) setNet(out, gv, fv);
+    }
+    due.clear();
+  }
+  lo_level_ = lev_.depth + 1;
+  hi_level_ = -1;
 }
 
-bool Podem::pickObjective(NetId& net, Tv& val) const {
+void Podem::assign(int input_index, Tv v) {
+  assignment_[static_cast<std::size_t>(input_index)] = v;
+  const NetId n = inputs_[static_cast<std::size_t>(input_index)];
+  const Tv f = fault_.isStem() && n == fault_.net ? stuck_ : v;
+  if (gval_[n] == v && fval_[n] == f) return;
+  setNet(n, v, f);
+  propagate();
+}
+
+void Podem::undoTo(std::size_t mark) {
+  while (trail_.size() > mark) {
+    const TrailEntry& e = trail_.back();
+    writeNet(e.net, e.g, e.f);
+    trail_.pop_back();
+  }
+}
+
+bool Podem::pickObjective(NetId& net, Tv& val) {
   // 1) Activate the fault.
   const Tv site_g = gval_[fault_.net];
-  const Tv bad = fault_.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
   if (site_g == Tv::kX) {
     net = fault_.net;
-    val = bad == Tv::k1 ? Tv::k0 : Tv::k1;
+    val = stuck_ == Tv::k1 ? Tv::k0 : Tv::k1;
     return true;
   }
-  if (site_g == bad) return false;  // activation impossible now
+  if (site_g == stuck_) return false;  // activation impossible now
 
   // 2) Advance the D-frontier: find a gate with a divergent input and an
   // unknown output; ask for a non-controlling value on an X input.
@@ -159,27 +242,29 @@ bool Podem::pickObjective(NetId& net, Tv& val) const {
   // installed the whole frontier is scanned and the candidate behind the
   // most observable gate output (min CO) wins, hardest side input (max CC)
   // first — fail fast on the side conditions before investing in the rest.
+  if (!divergent_sorted_) {
+    std::sort(divergent_.begin(), divergent_.end());
+    for (std::size_t i = 0; i < divergent_.size(); ++i) {
+      divergent_slot_[divergent_[i]] = static_cast<std::uint32_t>(i);
+    }
+    divergent_sorted_ = true;
+  }
   const auto& gates = nl_.gates();
-  const ReaderCsr& readers = nl_.readerCsr();
   bool found = false;
   std::uint32_t best_co = 0;
   std::uint32_t best_cc = 0;
-  for (NetId n = 0; n < nl_.numNets(); ++n) {
-    const Tv g = gval_[n];
-    const Tv f = fval_[n];
-    if (g == Tv::kX || f == Tv::kX || g == f) continue;
-    for (const NetReader& r : readers.of(n)) {
+  for (const NetId n : divergent_) {
+    for (const NetReader& r : readers_.of(n)) {
       const Gate& gate = gates[r.gate];
-      if (gval_[gate.out] != Tv::kX && fval_[gate.out] != Tv::kX &&
-          gval_[gate.out] != fval_[gate.out]) {
+      if (isDivergent(gval_[gate.out], fval_[gate.out])) {
         continue;  // already propagated through here
       }
+      const auto cv = controllingValue(gate.type);
       // Find an X input to justify.
       for (int p = 0; p < gate.nin; ++p) {
         const NetId in = gate.in[static_cast<std::size_t>(p)];
         if (in == n) continue;
         if (gval_[in] != Tv::kX) continue;
-        const auto cv = controllingValue(gate.type);
         Tv want = Tv::k1;
         if (cv.has_value()) {
           want = (*cv == Tv::k0) ? Tv::k1 : Tv::k0;  // non-controlling
@@ -206,11 +291,18 @@ bool Podem::pickObjective(NetId& net, Tv& val) const {
       }
     }
   }
+  if (!found && !fault_.isStem()) {
+    // A branch fault diverges on a pin, not on a net, so its gate is on the
+    // frontier without any divergent net showing it. While that gate's
+    // output is still unknown this dead end proves nothing.
+    const NetId out = gates[fault_.gate].out;
+    if (gval_[out] == Tv::kX || fval_[out] == Tv::kX) incomplete_ = true;
+  }
   return found;
 }
 
 bool Podem::backtrace(NetId obj_net, Tv obj_val, int& input_index,
-                      Tv& value) const {
+                      Tv& value) {
   NetId n = obj_net;
   Tv v = obj_val;
   const auto& gates = nl_.gates();
@@ -224,7 +316,12 @@ bool Podem::backtrace(NetId obj_net, Tv obj_val, int& input_index,
       return true;
     }
     const GateId d = nl_.driverOf(n);
-    if (d == Netlist::kNoDriver) return false;  // state net outside the view
+    if (d == Netlist::kNoDriver) {
+      // A net outside the view stays X; another X pin might still have
+      // justified the objective, so this dead end proves nothing.
+      incomplete_ = true;
+      return false;
+    }
     const Gate& gate = gates[d];
     if (gate.nin == 0) return false;  // constant
     // Collect the X inputs; unguided takes the first, SCOAP reorders.
@@ -293,19 +390,16 @@ bool Podem::backtrace(NetId obj_net, Tv obj_val, int& input_index,
 
 std::optional<std::vector<Tv>> Podem::generate(const Fault& f) {
   fault_ = f;
-  gval_.assign(nl_.numNets(), Tv::kX);
-  fval_.assign(nl_.numNets(), Tv::kX);
+  stuck_ = f.kind == FaultKind::kSa1 ? Tv::k1 : Tv::k0;
   assignment_.assign(inputs_.size(), Tv::kX);
   backtracks_ = 0;
   aborted_ = false;
-
-  std::vector<Decision> stack;
-  implyAll();
+  incomplete_ = false;
+  decisions_.clear();
+  implyAll();  // the one full sweep: constants and the all-X state
 
   for (int guard = 0; guard < 200000; ++guard) {
-    if (faultDetectedAtOutput()) {
-      return assignment_;
-    }
+    if (observed_divergent_ > 0) return assignment_;
     NetId obj_net = kNullNet;
     Tv obj_val = Tv::kX;
     int input_index = -1;
@@ -313,35 +407,31 @@ std::optional<std::vector<Tv>> Podem::generate(const Fault& f) {
     const bool have_obj = pickObjective(obj_net, obj_val) &&
                           backtrace(obj_net, obj_val, input_index, input_val);
     if (have_obj) {
-      assignment_[static_cast<std::size_t>(input_index)] = input_val;
-      stack.push_back(Decision{input_index, false});
-      implyAll();
+      decisions_.push_back(Decision{input_index, false, trail_.size()});
+      assign(input_index, input_val);
       continue;
     }
-    // Dead end: backtrack.
-    bool recovered = false;
-    while (!stack.empty()) {
-      Decision& d = stack.back();
-      if (!d.tried_both) {
-        d.tried_both = true;
-        auto& a = assignment_[static_cast<std::size_t>(d.input_index)];
-        a = (a == Tv::k0) ? Tv::k1 : Tv::k0;
-        ++backtracks_;
-        if (backtracks_ > static_cast<std::size_t>(backtrack_limit_)) {
-          aborted_ = true;
-          return std::nullopt;
-        }
-        implyAll();
-        recovered = true;
-        break;
-      }
-      assignment_[static_cast<std::size_t>(d.input_index)] = Tv::kX;
-      stack.pop_back();
+    // Dead end: drop the exhausted decisions, then flip the newest one
+    // that has a value left to try.
+    while (!decisions_.empty() && decisions_.back().tried_both) {
+      assignment_[static_cast<std::size_t>(decisions_.back().input_index)] =
+          Tv::kX;
+      decisions_.pop_back();
     }
-    if (!recovered && stack.empty()) {
-      if (backtracks_ > 0 || !recovered) return std::nullopt;  // untestable
+    if (decisions_.empty()) {
+      aborted_ = incomplete_;  // otherwise untestable: the search was complete
+      return std::nullopt;
     }
-    if (stack.empty() && !recovered) return std::nullopt;
+    Decision& d = decisions_.back();
+    d.tried_both = true;
+    ++backtracks_;
+    if (backtracks_ > static_cast<std::size_t>(backtrack_limit_)) {
+      aborted_ = true;
+      return std::nullopt;
+    }
+    const Tv old = assignment_[static_cast<std::size_t>(d.input_index)];
+    undoTo(d.mark);
+    assign(d.input_index, old == Tv::k0 ? Tv::k1 : Tv::k0);
   }
   aborted_ = true;  // iteration guard: search space not exhausted
   return std::nullopt;
