@@ -393,6 +393,50 @@ int main(int argc, char** argv) {
               resident_t.median, resident_t.min, resident_cps,
               service_stats.hitRate());
 
+  // Signature kernel: host ns per gate-cycle of the compiled at-speed BIST
+  // run (SignatureProgram) on the case-study modules. Hard gate: every
+  // signature equals a SeqSim-driven MISR fold of the same stimulus.
+  struct KernelRow {
+    std::string module;
+    std::size_t gates = 0;
+    double ns_per_gate_cycle = 0.0;
+    std::uint64_t signature = 0;
+  };
+  constexpr int kKernelCycles = 512;
+  constexpr int kKernelCalls = 8;  // sign calls per timed repeat
+  const CaseStudy cs;
+  std::vector<KernelRow> kernel_rows;
+  std::printf("\nsignature kernel (%d patterns, SeqSim-checked)\n",
+              kKernelCycles);
+  for (const int m : {cs.m_bn, cs.m_cu, cs.m_cn}) {
+    const auto program = cs.engine.referenceProgram(m);
+    KernelRow row;
+    row.module = cs.module(m).name();
+    row.gates = program->gateCount();
+    row.signature = cs.engine.runAndSign(m, *program, kKernelCycles);
+    if (row.signature != seqSimSignature(cs.engine, m, kKernelCycles)) {
+      std::fprintf(stderr,
+                   "FATAL: %s signature differs from the SeqSim MISR fold\n",
+                   row.module.c_str());
+      return 1;
+    }
+    const Timing t = timeRepeats(repeats, [&] {
+      for (int k = 0; k < kKernelCalls; ++k) {
+        (void)cs.engine.runAndSign(m, *program, kKernelCycles);
+      }
+    });
+    row.ns_per_gate_cycle =
+        t.median * 1e9 /
+        (static_cast<double>(kKernelCalls) * kKernelCycles *
+         static_cast<double>(row.gates));
+    std::printf("  %-13s %6zu gates  %6.3f ns/gate-cycle  %7.3f ms/run  "
+                "signature %04llx\n",
+                row.module.c_str(), row.gates, row.ns_per_gate_cycle,
+                t.median * 1e3 / kKernelCalls,
+                static_cast<unsigned long long>(row.signature));
+    kernel_rows.push_back(row);
+  }
+
   std::FILE* f = std::fopen("BENCH_soc.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_soc.json for writing\n");
@@ -477,7 +521,7 @@ int main(int argc, char** argv) {
                "\"seconds_min\": %.4f, \"campaigns_per_sec\": %.2f,\n"
                "      \"artifact_cache_hit_rate\": %.4f, "
                "\"artifact_hits\": %llu, \"artifact_misses\": %llu,\n"
-               "      \"modules_built\": %llu, \"modules_shared\": %llu}}\n",
+               "      \"modules_built\": %llu, \"modules_shared\": %llu}},\n",
                service_campaigns, jsonFinite(oneshot_t.median),
                jsonFinite(oneshot_t.min), jsonFinite(oneshot_cps),
                jsonFinite(resident_t.median), jsonFinite(resident_t.min),
@@ -486,6 +530,20 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(service_stats.misses),
                static_cast<unsigned long long>(service_stats.modules_built),
                static_cast<unsigned long long>(service_stats.modules_shared));
+  std::fprintf(f, "  \"signature_kernel\": {\"patterns\": %d, \"rows\": [\n",
+               kKernelCycles);
+  for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
+    const KernelRow& row = kernel_rows[i];
+    std::fprintf(f,
+                 "    {\"module\": \"%s\", \"gates\": %zu, "
+                 "\"ns_per_gate_cycle\": %.4f, \"signature\": %llu, "
+                 "\"seqsim_match\": true}%s\n",
+                 row.module.c_str(), row.gates,
+                 jsonFinite(row.ns_per_gate_cycle),
+                 static_cast<unsigned long long>(row.signature),
+                 i + 1 < kernel_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]}\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
 

@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "bist/engine.hpp"
+#include "bist/misr.hpp"
 #include "ldpc/gatelevel.hpp"
+#include "sim/seq_sim.hpp"
 
 namespace corebist::bench {
 
@@ -103,6 +105,35 @@ struct CaseStudy {
     return engine.module(m);
   }
 };
+
+/// Fault-free signature of engine module `m` by a path that shares no code
+/// with SignatureProgram: SeqSim applies the engine's stimulus and a
+/// software `Misr` folds the module outputs every cycle.
+inline std::uint64_t seqSimSignature(const BistEngine& engine, int m,
+                                     int cycles) {
+  const Netlist& nl = engine.module(m);
+  const std::vector<std::uint64_t> stim = engine.stimulus(m, cycles);
+  const MisrSpec spec = engine.misrSpec(m);
+  Misr misr(spec.width, spec.poly);
+  SeqSim sim(nl);
+  sim.reset();
+  for (int c = 0; c < cycles; ++c) {
+    const std::uint64_t in = stim[static_cast<std::size_t>(c)];
+    for (std::size_t j = 0; j < nl.primaryInputs().size(); ++j) {
+      sim.comb().set(nl.primaryInputs()[j], broadcast(((in >> j) & 1u) != 0));
+    }
+    sim.evalComb();
+    std::uint64_t folded = 0;
+    for (std::size_t t = 0; t < spec.feeds.size(); ++t) {
+      for (const NetId n : spec.feeds[t]) {
+        folded ^= (sim.comb().get(n) & 1u) << t;
+      }
+    }
+    misr.step(folded);
+    sim.clockEdge();
+  }
+  return misr.state();
+}
 
 class Stopwatch {
  public:

@@ -1,5 +1,7 @@
 #include "bist/engine.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -8,6 +10,11 @@
 #include "fault/seq_fsim.hpp"
 
 namespace corebist {
+namespace {
+
+std::atomic<std::uint64_t> next_module_id{1};
+
+}  // namespace
 
 BistEngine::BistEngine(BistEngineConfig cfg) : cfg_(std::move(cfg)) {
   taps_ = cfg_.lfsr_taps.empty() ? primitiveTaps(cfg_.lfsr_width)
@@ -68,6 +75,7 @@ int BistEngine::attachModule(const Netlist& module,
     ++free_idx;
   }
   h.free_inputs = free_idx;
+  h.id = next_module_id.fetch_add(1, std::memory_order_relaxed);
   modules_.push_back(std::move(h));
   return static_cast<int>(modules_.size()) - 1;
 }
@@ -114,25 +122,65 @@ MisrSpec BistEngine::misrSpec(int m) const {
   return makeMisrSpec(h.nl->primaryOutputs(), cfg_.misr_width);
 }
 
-std::uint64_t BistEngine::goldenSignature(int m, int cycles) const {
+std::shared_ptr<const std::vector<std::uint64_t>> BistEngine::tape(
+    int m, int cycles) const {
   const Hookup& h = modules_.at(static_cast<std::size_t>(m));
-  SeqFaultSim fsim(*h.nl);
-  const auto stim = stimulus(m, cycles);
-  return fsim.goodSignature(stim, cycles, misrSpec(m))[0];
+  const std::int64_t bound = std::int64_t{1}
+                             << std::clamp(cfg_.counter_bits, 0, 30);
+  if (cycles > bound) {
+    return std::make_shared<const std::vector<std::uint64_t>>(
+        stimulus(m, cycles));
+  }
+  const std::lock_guard<std::mutex> lock(h.sign->mu);
+  auto& t = h.sign->tape;
+  if (t == nullptr || static_cast<int>(t->size()) < cycles) {
+    // Doubling keeps the total regeneration work within twice the bound.
+    const auto have =
+        static_cast<std::int64_t>(t == nullptr ? 0 : t->size());
+    const auto len = static_cast<int>(
+        std::min(bound, std::max<std::int64_t>(cycles, 2 * have)));
+    t = std::make_shared<const std::vector<std::uint64_t>>(stimulus(m, len));
+  }
+  return t;
 }
 
-std::uint64_t BistEngine::runAndSign(int m, const Netlist& physical,
-                                     int cycles) const {
+std::shared_ptr<const SignatureProgram> BistEngine::referenceProgram(
+    int m) const {
+  const Hookup& h = modules_.at(static_cast<std::size_t>(m));
+  const std::lock_guard<std::mutex> lock(h.sign->mu);
+  if (h.sign->program == nullptr) {
+    h.sign->program =
+        std::make_shared<const SignatureProgram>(*h.nl, misrSpec(m));
+  }
+  return h.sign->program;
+}
+
+std::shared_ptr<const SignatureProgram> BistEngine::compile(
+    int m, const Netlist& physical) const {
   const Hookup& h = modules_.at(static_cast<std::size_t>(m));
   if (physical.primaryInputs().size() != h.nl->primaryInputs().size() ||
       physical.primaryOutputs().size() != h.nl->primaryOutputs().size()) {
     throw std::invalid_argument("runAndSign: netlist is not pin-compatible");
   }
-  const auto stim = stimulus(m, cycles);
-  SeqFaultSim fsim(physical);
-  return fsim.goodSignature(
-      stim, cycles, makeMisrSpec(physical.primaryOutputs(),
-                                 cfg_.misr_width))[0];
+  return std::make_shared<const SignatureProgram>(
+      physical, makeMisrSpec(physical.primaryOutputs(), cfg_.misr_width));
+}
+
+std::uint64_t BistEngine::goldenSignature(int m, int cycles) const {
+  return runAndSign(m, *referenceProgram(m), cycles);
+}
+
+std::uint64_t BistEngine::runAndSign(int m, const SignatureProgram& physical,
+                                     int cycles) const {
+  if (physical.inputCount() != module(m).primaryInputs().size()) {
+    throw std::invalid_argument("runAndSign: program is not pin-compatible");
+  }
+  return physical.sign(*tape(m, cycles), cycles);
+}
+
+std::uint64_t BistEngine::runAndSign(int m, const Netlist& physical,
+                                     int cycles) const {
+  return runAndSign(m, *compile(m, physical), cycles);
 }
 
 FaultSimResult BistEngine::signatureCoverage(int m,

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "bist/control_unit.hpp"
 #include "bist/lfsr.hpp"
 #include "bist/misr.hpp"
+#include "bist/signature_program.hpp"
 #include "netlist/netlist.hpp"
 
 namespace corebist {
@@ -62,6 +64,12 @@ class BistEngine {
   int attachModule(const Netlist& module,
                    std::vector<ConstrainedPort> constraints = {});
 
+  /// Identity of module `m`'s hookup, unique within the process and never
+  /// reused (assigned by attachModule from a process-wide counter).
+  [[nodiscard]] std::uint64_t moduleId(int m) const {
+    return modules_.at(static_cast<std::size_t>(m)).id;
+  }
+
   [[nodiscard]] int moduleCount() const noexcept {
     return static_cast<int>(modules_.size());
   }
@@ -96,14 +104,31 @@ class BistEngine {
   /// MISR specification (for the fault simulator) of module `m`.
   [[nodiscard]] MisrSpec misrSpec(int m) const;
 
-  /// Fault-free signature of module `m` after `cycles` patterns.
+  /// Fault-free signature of module `m` after `cycles` patterns: the
+  /// reference program run over the module's stimulus tape.
   [[nodiscard]] std::uint64_t goldenSignature(int m, int cycles) const;
 
-  /// Behavioral self-test: applies `cycles` patterns to a physical netlist
-  /// (which must be pin-compatible with module `m`, e.g. a defective copy)
-  /// and returns the MISR signature. Shares the good-machine signature path
-  /// of the fault-simulation kernel with goldenSignature(), so golden and
-  /// measured signatures can never drift apart arithmetically.
+  /// The compiled signature program of module `m`'s reference netlist,
+  /// built on first use and shared by every later caller.
+  [[nodiscard]] std::shared_ptr<const SignatureProgram> referenceProgram(
+      int m) const;
+
+  /// Compiles a physical netlist (pin-compatible with module `m`, e.g. a
+  /// defective copy; std::invalid_argument otherwise) with the module's
+  /// MISR folding the physical outputs.
+  [[nodiscard]] std::shared_ptr<const SignatureProgram> compile(
+      int m, const Netlist& physical) const;
+
+  /// Behavioral self-test: applies `cycles` patterns of module `m`'s
+  /// stimulus to a compiled physical instance and returns the MISR
+  /// signature. goldenSignature() runs the same SignatureProgram kernel on
+  /// the reference, so golden and measured signatures can never drift
+  /// apart arithmetically.
+  [[nodiscard]] std::uint64_t runAndSign(int m,
+                                         const SignatureProgram& physical,
+                                         int cycles) const;
+
+  /// Same, compiling `physical` for this one call.
   [[nodiscard]] std::uint64_t runAndSign(int m, const Netlist& physical,
                                          int cycles) const;
 
@@ -125,13 +150,28 @@ class BistEngine {
       const FsimBackendOptions& bopts) const;
 
  private:
+  /// Signing state of a hookup, built lazily on the first sign call.
+  struct SignState {
+    std::mutex mu;
+    std::shared_ptr<const SignatureProgram> program;
+    /// stimulus(m, n) for the longest n asked so far; replaced (never
+    /// mutated) when a caller needs more cycles, up to 2^counter_bits.
+    std::shared_ptr<const std::vector<std::uint64_t>> tape;
+  };
+
   struct Hookup {
     // Owned copy: hookups must outlive any caller-provided reference.
     std::unique_ptr<Netlist> nl;
     std::vector<InputSource> map;
     std::vector<std::shared_ptr<ConstraintGenerator>> cgs;
     int free_inputs = 0;  // inputs driven by the ALFSR
+    std::uint64_t id = 0;
+    std::unique_ptr<SignState> sign = std::make_unique<SignState>();
   };
+
+  /// At least the first `cycles` stimulus words of module `m`.
+  [[nodiscard]] std::shared_ptr<const std::vector<std::uint64_t>> tape(
+      int m, int cycles) const;
 
   BistEngineConfig cfg_;
   std::vector<int> taps_;

@@ -5,7 +5,8 @@
 // MISR are folded through an XOR cascade (output i feeds tap i mod width),
 // exactly as the paper does for its 55/53/44-bit ports into 16-bit MISRs.
 // The software model, the bit-sliced model inside the sequential fault
-// simulator (fault/seq_fsim.hpp) and the structural hardware generator all
+// simulator (fault/seq_fsim.hpp), the signature kernel
+// (bist/signature_program.hpp) and the structural hardware generator all
 // implement the same recurrence:
 //   S'[j] = S[j-1] ^ (poly[j] & S[w-1]) ^ in[j]     (S[-1] = 0)
 #ifndef COREBIST_BIST_MISR_HPP_

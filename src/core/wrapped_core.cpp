@@ -14,17 +14,22 @@ int WrappedCore::addModule(const Netlist& reference,
   }
   const int m = engine_.attachModule(reference, std::move(constraints));
   physical_.push_back(reference);  // pin-compatible manufactured instance
+  programs_.emplace_back();
   return m;
 }
 
 void WrappedCore::injectDefect(int module, GateId gate, GateType new_type) {
-  physical_.at(static_cast<std::size_t>(module)).mutateGateType(gate, new_type);
+  Netlist& nl = physical_.at(static_cast<std::size_t>(module));
+  nl.mutateGateType(gate, new_type);
+  programs_[static_cast<std::size_t>(module)] = engine_.compile(module, nl);
   run_complete_ = false;
   signatures_.clear();
 }
 
 void WrappedCore::healModule(int module) {
   physical_.at(static_cast<std::size_t>(module)) = engine_.module(module);
+  programs_[static_cast<std::size_t>(module)] =
+      engine_.referenceProgram(module);
   run_complete_ = false;
   signatures_.clear();
 }
@@ -80,10 +85,15 @@ void WrappedCore::completeRun() {
   const int patterns = static_cast<int>(cu_.patternLimit());
   for (int m = 0; m < engine_.moduleCount(); ++m) {
     signatures_.push_back(static_cast<std::uint16_t>(
-        engine_.runAndSign(m, physical_[static_cast<std::size_t>(m)],
-                           patterns)));
+        engine_.runAndSign(m, *physicalProgram(m), patterns)));
   }
   run_complete_ = true;
+}
+
+std::shared_ptr<const SignatureProgram> WrappedCore::physicalProgram(int m) {
+  auto& p = programs_.at(static_cast<std::size_t>(m));
+  if (p == nullptr) p = engine_.referenceProgram(m);
+  return p;
 }
 
 std::uint16_t WrappedCore::goldenSignature(int m, int patterns) const {

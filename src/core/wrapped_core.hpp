@@ -4,10 +4,13 @@
 //
 // The core's modules are given as gate-level netlists; a pin-compatible
 // "physical" copy per module represents the manufactured instance, into
-// which defects can be injected. WCDR commands drive the BIST control unit;
-// Run-Test/Idle system clocks advance the pattern counter; when the
-// programmed count is reached the MISR signatures of the physical modules
-// are available through the WDR via the Output Selector.
+// which defects can be injected. Each physical instance carries its compiled
+// signature program: the engine's shared reference program while the
+// instance is healthy, a private recompiled one after injectDefect. WCDR
+// commands drive the BIST control unit; Run-Test/Idle system clocks advance
+// the pattern counter; when the programmed count is reached the MISR
+// signatures of the physical modules are available through the WDR via the
+// Output Selector.
 #ifndef COREBIST_CORE_WRAPPED_CORE_HPP_
 #define COREBIST_CORE_WRAPPED_CORE_HPP_
 
@@ -32,10 +35,16 @@ class WrappedCore {
   int addModule(const Netlist& reference,
                 std::vector<ConstrainedPort> constraints = {});
 
-  /// Model a manufacturing defect in the physical instance of a module.
+  /// Model a manufacturing defect in the physical instance of a module
+  /// (recompiles its signature program).
   void injectDefect(int module, GateId gate, GateType new_type);
-  /// Restore the physical instance to the fault-free reference.
+  /// Restore the physical instance to the fault-free reference (and point
+  /// it back at the engine's reference program).
   void healModule(int module);
+
+  /// The signature program the next BIST run signs module `m` with.
+  [[nodiscard]] std::shared_ptr<const SignatureProgram> physicalProgram(
+      int m);
 
   /// Must be called after all modules are added.
   void finalize();
@@ -86,6 +95,8 @@ class WrappedCore {
   BistControlUnit cu_;
   std::unique_ptr<P1500Wrapper> wrapper_;
   std::vector<Netlist> physical_;
+  /// Per physical instance; null until the first run of a healthy one.
+  std::vector<std::shared_ptr<const SignatureProgram>> programs_;
   std::vector<std::uint16_t> signatures_;
   std::vector<WrappedCore*> children_;
   bool run_complete_ = false;

@@ -167,30 +167,6 @@ inline std::uint64_t packBroadcastWords(const std::uint64_t* v) {
   return bits;
 }
 
-/// Runs the good machine over the first `cycles` stimulus words, calling
-/// `visit(cycle, val)` once per cycle with every slot's broadcast value as
-/// seen during the cycle, before its clock edge. `val` must hold at least
-/// t.slots() words; the trace builder pads it to whole rows.
-template <typename Visit>
-void runGoodMachine(const Topology& t, std::span<const std::uint64_t> stimulus,
-                    int cycles, std::vector<std::uint64_t>& val, Visit visit) {
-  std::vector<std::uint64_t> dcapt(t.d_slots.size(), 0);
-  std::uint64_t* out = val.data() + t.sources;
-  for (int c = 0; c < cycles; ++c) {
-    const std::uint64_t in = stimulus[static_cast<std::size_t>(c)];
-    for (std::size_t j = 0; j < t.pi_slots.size(); ++j) {
-      val[t.pi_slots[j]] = broadcast(((in >> j) & 1u) != 0);
-    }
-    for (std::size_t pos = 0; pos < t.gates.size(); ++pos) {
-      const PosGate& g = t.gates[pos];
-      out[pos] = evalGateWord(g.type, val[g.in[0]], val[g.in[1]], val[g.in[2]]);
-    }
-    visit(c, val);
-    for (std::size_t i = 0; i < dcapt.size(); ++i) dcapt[i] = val[t.d_slots[i]];
-    for (std::size_t i = 0; i < dcapt.size(); ++i) val[t.q_slots[i]] = dcapt[i];
-  }
-}
-
 /// The good machine's trace over the whole stimulus.
 std::shared_ptr<const GoodTrace> simulateGood(
     const Topology& t, std::span<const std::uint64_t> stimulus) {
@@ -200,14 +176,24 @@ std::shared_ptr<const GoodTrace> simulateGood(
   trace->bits.assign(stimulus.size() * t.row_words, 0);
   // Padded to whole rows so every row word packs 64 slots.
   std::vector<std::uint64_t> val(64 * t.row_words, 0);
-  const auto pack = [&](int c, const std::vector<std::uint64_t>& v) {
-    std::uint64_t* row =
-        trace->bits.data() + static_cast<std::size_t>(c) * t.row_words;
-    for (std::size_t w = 0; w < t.row_words; ++w) {
-      row[w] = packBroadcastWords(v.data() + 64 * w);
+  std::vector<std::uint64_t> dcapt(t.d_slots.size(), 0);
+  std::uint64_t* out = val.data() + t.sources;
+  for (std::size_t c = 0; c < stimulus.size(); ++c) {
+    const std::uint64_t in = stimulus[c];
+    for (std::size_t j = 0; j < t.pi_slots.size(); ++j) {
+      val[t.pi_slots[j]] = broadcast(((in >> j) & 1u) != 0);
     }
-  };
-  runGoodMachine(t, stimulus, static_cast<int>(stimulus.size()), val, pack);
+    for (std::size_t pos = 0; pos < t.gates.size(); ++pos) {
+      const PosGate& g = t.gates[pos];
+      out[pos] = evalGateWord(g.type, val[g.in[0]], val[g.in[1]], val[g.in[2]]);
+    }
+    std::uint64_t* row = trace->bits.data() + c * t.row_words;
+    for (std::size_t w = 0; w < t.row_words; ++w) {
+      row[w] = packBroadcastWords(val.data() + 64 * w);
+    }
+    for (std::size_t i = 0; i < dcapt.size(); ++i) dcapt[i] = val[t.d_slots[i]];
+    for (std::size_t i = 0; i < dcapt.size(); ++i) val[t.q_slots[i]] = dcapt[i];
+  }
   return trace;
 }
 
@@ -761,46 +747,6 @@ FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
 
 std::unique_ptr<FaultSim> SeqFaultSim::clone() const {
   return std::make_unique<SeqFaultSim>(*this);
-}
-
-std::vector<std::uint64_t> SeqFaultSim::goodSignature(
-    std::span<const std::uint64_t> stimulus, int cycles,
-    const MisrSpec& misr) const {
-  if (static_cast<int>(stimulus.size()) < cycles) {
-    throw std::invalid_argument(
-        "SeqFaultSim::goodSignature: stimulus shorter than cycles");
-  }
-  if (misr.width < 1 || misr.width > 64) {
-    throw std::invalid_argument(
-        "SeqFaultSim::goodSignature: MISR width outside [1, 64]");
-  }
-  // The MISR as one word: tap j is bit j, shifting toward the MSB. No
-  // trace is kept: the fold runs inside the good-machine loop.
-  const std::uint64_t keep = misr.width == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << misr.width) - 1;
-  std::vector<std::vector<std::uint32_t>> feeds(misr.feeds.size());
-  for (std::size_t j = 0; j < feeds.size(); ++j) {
-    for (const NetId n : misr.feeds[j]) feeds[j].push_back(topo_->slot_of[n]);
-  }
-  std::uint64_t state = 0;
-  std::vector<std::uint64_t> val(topo_->slots(), 0);
-  runGoodMachine(*topo_, stimulus, cycles, val,
-                 [&](int, const std::vector<std::uint64_t>& v) {
-                   std::uint64_t feed = 0;
-                   for (int j = 0; j < misr.width; ++j) {
-                     std::uint64_t bit = 0;
-                     for (const std::uint32_t slot :
-                          feeds[static_cast<std::size_t>(j)]) {
-                       bit ^= v[slot] & 1u;
-                     }
-                     feed |= bit << j;
-                   }
-                   const std::uint64_t msb = (state >> (misr.width - 1)) & 1u;
-                   state = ((state << 1) ^ (msb != 0 ? misr.poly : 0) ^ feed) &
-                           keep;
-                 });
-  return {state};
 }
 
 }  // namespace corebist

@@ -76,13 +76,6 @@ class SeqFaultSim final : public FaultSim {
   }
   [[nodiscard]] std::unique_ptr<FaultSim> clone() const override;
 
-  /// Good-machine MISR signature for a stimulus (no faults), for golden
-  /// signature generation. Requires stimulus.size() >= cycles and
-  /// 1 <= misr.width <= 64 (std::invalid_argument otherwise).
-  [[nodiscard]] std::vector<std::uint64_t> goodSignature(
-      std::span<const std::uint64_t> stimulus, int cycles,
-      const MisrSpec& misr) const;
-
  private:
   /// A good-machine trace covering the first `cycles` words of `stimulus`:
   /// a memo hit on the same content, or a fresh trace of the whole stimulus.

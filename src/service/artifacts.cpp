@@ -98,7 +98,7 @@ std::uint64_t moduleContentKey(const WrappedCore& core, int m) {
 
 ArtifactStore::ModuleArtifacts& ArtifactStore::bundleFor(
     const WrappedCore& core, int m) {
-  const Netlist* key = &core.engine().module(m);
+  const std::uint64_t key = core.engine().moduleId(m);
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = by_identity_.find(key);

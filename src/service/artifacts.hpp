@@ -2,11 +2,14 @@
 //
 // Every one-shot campaign used to rebuild the same derived state from
 // scratch: structural lint of each module netlist at plan-resolve time, the
-// stuck-at fault universe of every module a coverage probe touches, and —
-// dominating all of it — the golden MISR signature of every module, which
-// runs a full good-machine sequential simulation per core per campaign.
-// All of that is a pure function of state that never changes after a core
-// is attached to the SoC:
+// stuck-at fault universe of every module a coverage probe touches, the
+// golden MISR signature of every module (one good-machine run of the
+// module's reference SignatureProgram per core per campaign) and the
+// coverage value of a probe. What the store cannot remove is the at-speed
+// run of every physical module instance (WrappedCore::completeRun), which
+// every campaign simulates and which now dominates a healthy campaign's
+// host time. The cached products are a pure function of state that never
+// changes after a core is attached to the SoC:
 //
 //   * `BistEngine::module(m)` returns the engine's OWNED reference copy of
 //     the module netlist (attachModule deep-copies). Defect injection
@@ -19,11 +22,14 @@
 //     config and the module's output count. All are set at attach time.
 //
 // ArtifactStore memoizes those products once per *module content* and
-// serves them by reference to every campaign. Lookup is two-level: a
-// pointer-identity fast path on `&engine.module(m)` (stable — hookups own
-// their netlists behind unique_ptr), then an fnv1a-64 content key over the
-// module structure, names, engine config, input map and CG value streams,
-// so two cores carrying byte-identical hookups share one artifact bundle.
+// serves them by reference to every campaign. Lookup is two-level: an
+// identity fast path on `engine.moduleId(m)` — unique within the process
+// and never reused, so a SoC rebuilt after another was destroyed (even with
+// its netlists at the same heap addresses) can never inherit the old SoC's
+// bundles — then an fnv1a-64 content key over the module structure, names,
+// engine config, input map and CG value streams, so two cores carrying
+// byte-identical hookups share one artifact bundle. A fast-path hit hashes
+// nothing.
 // Because the content key covers every input the products depend on, a
 // cache hit is fingerprint-invisible by construction (pinned by
 // tests/service_test.cpp).
@@ -114,8 +120,8 @@ class ArtifactStore {
   ModuleArtifacts& bundleFor(const WrappedCore& core, int m);
 
   mutable std::mutex mu_;  // guards the two registry maps
-  std::unordered_map<const Netlist*, std::shared_ptr<ModuleArtifacts>>
-      by_identity_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<ModuleArtifacts>>
+      by_identity_;  // BistEngine::moduleId -> bundle
   std::unordered_map<std::uint64_t, std::shared_ptr<ModuleArtifacts>>
       by_content_;
   std::atomic<std::uint64_t> modules_built_{0};

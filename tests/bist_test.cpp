@@ -2,16 +2,25 @@
 // unit, engine assembly, and software/hardware cross-validation.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <latch>
 #include <random>
+#include <span>
+#include <stdexcept>
+#include <thread>
 
+#include "../bench/case_study.hpp"
 #include "bist/constraint_gen.hpp"
 #include "bist/control_unit.hpp"
 #include "bist/engine.hpp"
 #include "bist/engine_hw.hpp"
 #include "bist/lfsr.hpp"
 #include "bist/misr.hpp"
+#include "bist/signature_program.hpp"
 #include "ldpc/gatelevel.hpp"
+#include "netlist/builder.hpp"
+#include "seq_sweep_reference.hpp"
 #include "sim/seq_sim.hpp"
 
 namespace corebist {
@@ -349,6 +358,166 @@ TEST(EngineHw, BistedModuleReproducesGoldenSignature) {
   const std::uint64_t hw_sig =
       sim.comb().getBusLane(bisted.findPort("bist_signature")->bits, 0);
   EXPECT_EQ(hw_sig, engine.goldenSignature(m, cycles));
+}
+
+Netlist makeCounterCircuit() {
+  Netlist nl("cnt");
+  Builder b(nl);
+  const Bus en = b.input("en", 1);
+  const Bus q = b.counter("q", 4, en[0], b.lo());
+  b.output("q", q);
+  b.output("par", Bus{b.reduceXor(q)});
+  nl.validate();
+  return nl;
+}
+
+TEST(SignatureProgram, RejectsShortStimulus) {
+  const Netlist nl = makeCounterCircuit();
+  MisrSpec misr;
+  misr.width = 4;
+  misr.poly = 0b0011;
+  misr.feeds = {{nl.primaryOutputs()[0]}, {}, {}, {}};
+  const SignatureProgram program(nl, misr);
+  const std::vector<std::uint64_t> stim(16, 1);
+  EXPECT_THROW((void)program.sign(stim, 17), std::invalid_argument);
+  EXPECT_NO_THROW((void)program.sign(stim, 16));
+}
+
+TEST(SignatureProgram, RejectsMisrWidthOutsideOneWord) {
+  const Netlist nl = makeCounterCircuit();
+  const std::vector<std::uint64_t> stim(16, 1);
+  for (const int width : {0, 65}) {
+    MisrSpec misr;
+    misr.width = width;
+    misr.feeds.resize(static_cast<std::size_t>(width));
+    EXPECT_THROW(SignatureProgram(nl, misr), std::invalid_argument)
+        << "width " << width;
+  }
+  MisrSpec full;
+  full.width = 64;
+  full.poly = 0x1B;
+  full.feeds.resize(64);
+  full.feeds[0] = {nl.primaryOutputs()[0]};
+  full.feeds[63] = {nl.primaryOutputs()[1]};
+  EXPECT_NE(SignatureProgram(nl, full).sign(stim, 16), 0u);
+}
+
+/// Random sequential netlist exercising every gate type (constants and
+/// MUX2 included), flip-flop-to-flip-flop shift paths, reads of undriven
+/// non-input nets and primary outputs that read a Q directly.
+Netlist randomSignatureNetlist(std::uint64_t seed) {
+  Netlist nl("sig_rand");
+  std::mt19937_64 rng(seed);
+  std::vector<NetId> pool;
+  for (int i = 0; i < 9; ++i) pool.push_back(nl.addPrimaryInput());
+  std::vector<NetId> qs;
+  for (int i = 0; i < 10; ++i) qs.push_back(nl.addDff());
+  pool.insert(pool.end(), qs.begin(), qs.end());
+  pool.push_back(nl.newNet());  // undriven, never an input
+  pool.push_back(nl.newNet());
+  for (int g = 0; g < 160; ++g) {
+    const auto t = static_cast<GateType>(g < kNumGateTypes
+                                             ? g
+                                             : rng() % kNumGateTypes);
+    const NetId a = pool[rng() % pool.size()];
+    const NetId b = pool[rng() % pool.size()];
+    const NetId sel = pool[rng() % pool.size()];
+    const std::array<NetId, 3> in{a, b, sel};
+    pool.push_back(nl.addGate(
+        t, std::span<const NetId>(in.data(),
+                                  static_cast<std::size_t>(gateArity(t)))));
+  }
+  // Pure shift paths in both flip-flop orders, Q0 <- Q1 <- Q2 and
+  // Q4 <- Q3, so a capture that updates Q in place shows in either
+  // direction; the rest read the logic.
+  nl.connectDff(qs[0], qs[1]);
+  nl.connectDff(qs[1], qs[2]);
+  nl.connectDff(qs[4], qs[3]);
+  for (const std::size_t i : {2u, 3u, 5u, 6u, 7u, 8u, 9u}) {
+    nl.connectDff(qs[i], pool[pool.size() - 1 - rng() % 40]);
+  }
+  nl.markPrimaryOutput(qs[0]);
+  nl.markPrimaryOutput(qs[4]);
+  for (std::size_t i = 0; i < 11; ++i) {
+    nl.markPrimaryOutput(pool[pool.size() - 1 - i]);
+  }
+  return nl;
+}
+
+TEST(SignatureProgram, MatchesTheSweepReferenceOnRandomNetlists) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    const Netlist nl = randomSignatureNetlist(seed);
+    std::mt19937_64 rng(seed ^ 0x51C);
+    std::vector<std::uint64_t> stim(500);
+    for (auto& w : stim) w = rng() & 0x1FF;
+    for (const int width : {1, 7, 16, 64}) {
+      MisrSpec misr;
+      misr.width = width;
+      misr.poly = rng() | 1u;  // bits past the width must be ignored
+      misr.feeds = foldFeeds(nl.primaryOutputs(), width);
+      const SignatureProgram program(nl, misr);
+      for (const int cycles : {1, 63, 64, 65, 500}) {
+        EXPECT_EQ(program.sign(stim, cycles),
+                  testref::sweepGoodSignature(nl, stim, cycles, misr))
+            << "seed " << seed << " width " << width << " cycles " << cycles;
+      }
+    }
+  }
+}
+
+TEST(SignatureProgram, CaseStudyModulesMatchASeqSimMisrFold) {
+  const bench::CaseStudy cs;
+  for (const int m : {cs.m_bn, cs.m_cu}) {
+    for (const int cycles : {1, 512, 4095}) {
+      EXPECT_EQ(cs.engine.goldenSignature(m, cycles),
+                bench::seqSimSignature(cs.engine, m, cycles))
+          << cs.module(m).name() << " at " << cycles << " patterns";
+    }
+  }
+}
+
+TEST(Engine, ConcurrentSignersGrowOneStimulusTape) {
+  // Two threads sign different budgets at once on a fresh engine: the
+  // reference program is compiled once and the tape grows under its lock
+  // while the other signer may still be reading the shorter one.
+  const Netlist bn = ldpc::buildBitNode();
+  BistEngine engine;
+  const int m = engine.attachModule(bn);
+  std::uint64_t sig200 = 0;
+  std::uint64_t sig900 = 0;
+  std::latch start(2);
+  std::thread a([&] {
+    start.arrive_and_wait();
+    sig200 = engine.goldenSignature(m, 200);
+  });
+  std::thread b([&] {
+    start.arrive_and_wait();
+    sig900 = engine.goldenSignature(m, 900);
+  });
+  a.join();
+  b.join();
+  BistEngine fresh;
+  const int f = fresh.attachModule(bn);
+  EXPECT_EQ(sig200, fresh.goldenSignature(f, 200));
+  EXPECT_EQ(sig900, fresh.goldenSignature(f, 900));
+  EXPECT_EQ(engine.referenceProgram(m), engine.referenceProgram(m));
+}
+
+TEST(Engine, ModuleIdsAreNeverReused) {
+  Netlist nl("m");
+  {
+    Builder b(nl);
+    b.output("y", b.bwNot(b.input("x", 4)));
+  }
+  std::uint64_t last = 0;
+  for (int k = 0; k < 3; ++k) {
+    BistEngine engine;
+    const int m0 = engine.attachModule(nl);
+    const int m1 = engine.attachModule(nl);
+    EXPECT_GT(engine.moduleId(m0), last);
+    EXPECT_GT(engine.moduleId(m1), engine.moduleId(m0));
+    last = engine.moduleId(m1);
+  }
 }
 
 TEST(EngineHw, EngineNetlistHasExpectedStructure) {

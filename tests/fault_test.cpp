@@ -350,38 +350,5 @@ TEST(FaultSimWindows, WindowCountsAbove64ThrowOnEveryEngine) {
   EXPECT_TRUE(has_top(rc));
 }
 
-TEST(SeqFaultSim, GoodSignatureRejectsShortStimulus) {
-  const Netlist nl = makeCounterCircuit();
-  const SeqFaultSim fsim(nl);
-  MisrSpec misr;
-  misr.width = 4;
-  misr.poly = 0b0011;
-  misr.feeds = {{nl.primaryOutputs()[0]}, {}, {}, {}};
-  const std::vector<std::uint64_t> stim(16, 1);
-  EXPECT_THROW((void)fsim.goodSignature(stim, 17, misr), std::invalid_argument);
-  EXPECT_EQ(fsim.goodSignature(stim, 16, misr).size(), 1u);
-}
-
-TEST(SeqFaultSim, GoodSignatureRejectsMisrWidthOutsideOneWord) {
-  const Netlist nl = makeCounterCircuit();
-  const SeqFaultSim fsim(nl);
-  const std::vector<std::uint64_t> stim(16, 1);
-  for (const int width : {0, 65}) {
-    MisrSpec misr;
-    misr.width = width;
-    misr.feeds.resize(static_cast<std::size_t>(width));
-    EXPECT_THROW((void)fsim.goodSignature(stim, 16, misr),
-                 std::invalid_argument)
-        << "width " << width;
-  }
-  MisrSpec full;
-  full.width = 64;
-  full.poly = 0x1B;
-  full.feeds.resize(64);
-  full.feeds[0] = {nl.primaryOutputs()[0]};
-  full.feeds[63] = {nl.primaryOutputs()[1]};
-  EXPECT_NE(fsim.goodSignature(stim, 16, full)[0], 0u);
-}
-
 }  // namespace
 }  // namespace corebist

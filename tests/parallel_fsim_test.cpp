@@ -8,6 +8,7 @@
 #include <random>
 #include <span>
 
+#include "bist/signature_program.hpp"
 #include "fault/comb_fsim.hpp"
 #include "fault/fault.hpp"
 #include "fault/parallel_fsim.hpp"
@@ -251,9 +252,8 @@ TEST_P(ParallelEquivalence, SeqKernelMatchesSweepReference) {
       expectSameRecords(SeqFaultSim(nl).run(faults, stim, *opts), want,
                         "gated kernel vs sweep reference");
     }
-    EXPECT_EQ(SeqFaultSim(nl).goodSignature(stim, 160, misr),
-              std::vector<std::uint64_t>{
-                  testref::sweepGoodSignature(nl, stim, 160, misr)});
+    EXPECT_EQ(SignatureProgram(nl, misr).sign(stim, 160),
+              testref::sweepGoodSignature(nl, stim, 160, misr));
   }
 }
 

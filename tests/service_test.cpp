@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <random>
 #include <semaphore>
 #include <sstream>
@@ -327,6 +328,41 @@ TEST(CampaignService, ArtifactReuseIsFingerprintInvisible) {
   // The memoized golden equals the direct good-machine simulation.
   EXPECT_EQ(service.artifacts()->goldenSignature(soc->core(0), 0, 128),
             soc->core(0).goldenSignature(0, 128));
+}
+
+TEST(CampaignService, SocRebuiltInTheSameStorageGetsItsOwnGoldens) {
+  // A store outliving its SoC: SoC A runs and is destroyed, then SoC B (one
+  // healthy core with a different module) is built in the same storage, so
+  // the allocator tends to hand B's hookup netlist A's address. B must be
+  // served its own golden signatures, never A's.
+  auto store = std::make_shared<ArtifactStore>();
+  CampaignServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.artifacts = store;
+  const TestPlan plan = makeSubsetPlan({0});
+  std::optional<Soc> soc;
+  const auto build = [&](int twist) {
+    soc.emplace("churn_soc");
+    auto core = std::make_unique<WrappedCore>("churn");
+    core->addModule(makeToyModule(twist));
+    soc->attachCore(std::move(core));
+  };
+
+  build(0);
+  const Netlist* first_module = &soc->core(0).engine().module(0);
+  {
+    CampaignService service(*soc, cfg);
+    ASSERT_TRUE(service.await(service.submit(plan)).cores.at(0).pass());
+  }
+  soc.reset();
+  build(1);
+  const bool reused = &soc->core(0).engine().module(0) == first_module;
+  CampaignService service(*soc, cfg);
+  const SessionReport r = service.await(service.submit(plan));
+  EXPECT_TRUE(r.cores.at(0).pass())
+      << "healthy core failed; module netlist "
+      << (reused ? "reused" : "did not reuse") << " the first SoC's address";
+  EXPECT_EQ(store->stats().modules_built, 2u);
 }
 
 TEST(CampaignService, PredictRacesRunSafely) {

@@ -86,6 +86,42 @@ TEST(SocScheduler, ShardedReportsAreByteIdenticalToSerial) {
   }
 }
 
+TEST(SocScheduler, DefectsRecompileTheProgramAndHealSharesTheReference) {
+  Soc soc("defect_soc");
+  auto owned = std::make_unique<WrappedCore>("toy");
+  owned->addModule(makeToyModule(0));
+  soc.attachCore(std::move(owned));
+  WrappedCore& core = soc.core(0);
+  SocTestScheduler scheduler(soc);
+  const auto run = [&] {
+    return scheduler.run(TestPlan{}.withPatterns(200).addCore(0)).cores.at(0);
+  };
+
+  EXPECT_EQ(run().verdict, CoreVerdict::kPass);
+  EXPECT_EQ(core.physicalProgram(0), core.engine().referenceProgram(0));
+
+  core.injectDefect(0, 3, GateType::kXnor);
+  const CoreReport first = run();
+  EXPECT_EQ(first.verdict, CoreVerdict::kSignatureMismatch);
+  EXPECT_NE(core.physicalProgram(0), core.engine().referenceProgram(0));
+
+  // A second defect on another gate must reach the signature: a stale
+  // program compiled for the first defect would repeat its signature.
+  core.injectDefect(0, 5, GateType::kNand);
+  const CoreReport second = run();
+  EXPECT_EQ(second.verdict, CoreVerdict::kSignatureMismatch);
+  const Netlist both = withGateDefect(
+      withGateDefect(core.engine().module(0), 3, GateType::kXnor), 5,
+      GateType::kNand);
+  EXPECT_EQ(second.modules.at(0).signature,
+            static_cast<std::uint16_t>(core.engine().runAndSign(0, both, 200)));
+  EXPECT_NE(second.modules.at(0).signature, first.modules.at(0).signature);
+
+  core.healModule(0);
+  EXPECT_EQ(run().verdict, CoreVerdict::kPass);
+  EXPECT_EQ(core.physicalProgram(0), core.engine().referenceProgram(0));
+}
+
 TEST(SocScheduler, RerunOnTheSameSocIsIdenticalToo) {
   // Campaigns leave every core re-testable: running the same plan twice on
   // one SoC (serial, then sharded) yields the same fingerprint.
