@@ -25,6 +25,7 @@
 #include "fault/lane.hpp"
 #include "core/soc.hpp"
 #include "netlist/builder.hpp"
+#include "service/artifacts.hpp"
 #include "service/service.hpp"
 
 using namespace corebist;
@@ -437,6 +438,68 @@ int main(int argc, char** argv) {
     kernel_rows.push_back(row);
   }
 
+  // Coverage curve: the artifact store answers every budget of a module
+  // from its golden and MISR coverage curves. Hard gate: at sampled
+  // budgets (in an order that both grows and reads the curves) every store
+  // answer equals a direct, uncached run.
+  struct CurveRow {
+    std::string module;
+    int budgets = 0;
+    std::uint64_t misses = 0;
+    double store_s = 0.0;
+    double direct_s = 0.0;
+  };
+  const std::vector<int> curve_budgets =
+      quick ? std::vector<int>{1, 64, 200, 133, 512}
+            : std::vector<int>{1, 64, 200, 133, 512, 1000, 4095, 2048};
+  WrappedCore curve_core("case_study");
+  const int curve_modules[2] = {curve_core.addModule(cs.bn, cs.bn_ports),
+                                curve_core.addModule(cs.cu, cs.cu_ports)};
+  curve_core.finalize();
+  ArtifactStore curve_store;
+  std::vector<CurveRow> curve_rows;
+  std::printf("\ncoverage curve (store vs direct runs, budgets");
+  for (const int n : curve_budgets) std::printf(" %d", n);
+  std::printf(")\n");
+  for (const int m : curve_modules) {
+    CurveRow row;
+    row.module = curve_core.engine().module(m).name();
+    row.budgets = static_cast<int>(curve_budgets.size());
+    const std::vector<Fault> faults =
+        enumerateStuckAt(curve_core.engine().module(m)).faults;
+    const std::uint64_t misses0 = curve_store.stats().misses;
+    for (const int n : curve_budgets) {
+      const Stopwatch store_t;
+      const std::uint16_t golden =
+          curve_store.goldenSignature(curve_core, m, n);
+      const double coverage =
+          curve_store.signatureCoverage(curve_core, m, n, FsimBackendOptions{});
+      row.store_s += store_t.seconds();
+      const Stopwatch direct_t;
+      const std::uint16_t want_golden = curve_core.goldenSignature(m, n);
+      const double want_coverage =
+          curve_core.engine()
+              .signatureCoverage(m, faults, n, FsimBackendOptions{})
+              .misrCoverage();
+      row.direct_s += direct_t.seconds();
+      if (golden != want_golden || coverage != want_coverage) {
+        std::fprintf(stderr,
+                     "FATAL: %s at %d patterns: store golden %04x coverage "
+                     "%.17g, direct golden %04x coverage %.17g\n",
+                     row.module.c_str(), n, golden, coverage, want_golden,
+                     want_coverage);
+        return 1;
+      }
+    }
+    row.misses = curve_store.stats().misses - misses0;
+    std::printf("  %-13s %d budgets  %llu store misses  store %7.3fs  "
+                "direct %7.3fs\n",
+                row.module.c_str(), row.budgets,
+                static_cast<unsigned long long>(row.misses), row.store_s,
+                row.direct_s);
+    curve_rows.push_back(row);
+  }
+
   std::FILE* f = std::fopen("BENCH_soc.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_soc.json for writing\n");
@@ -542,6 +605,19 @@ int main(int argc, char** argv) {
                  jsonFinite(row.ns_per_gate_cycle),
                  static_cast<unsigned long long>(row.signature),
                  i + 1 < kernel_rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n");
+  std::fprintf(f, "  \"coverage_curve\": {\"rows\": [\n");
+  for (std::size_t i = 0; i < curve_rows.size(); ++i) {
+    const CurveRow& row = curve_rows[i];
+    std::fprintf(f,
+                 "    {\"module\": \"%s\", \"budgets\": %d, "
+                 "\"store_misses\": %llu, \"store_s\": %.4f, "
+                 "\"direct_s\": %.4f, \"match\": true}%s\n",
+                 row.module.c_str(), row.budgets,
+                 static_cast<unsigned long long>(row.misses),
+                 jsonFinite(row.store_s), jsonFinite(row.direct_s),
+                 i + 1 < curve_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]}\n");
   std::fprintf(f, "}\n");

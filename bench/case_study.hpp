@@ -30,6 +30,10 @@ struct CaseStudy {
   std::shared_ptr<ScheduleConstraint> path_cg;
   std::shared_ptr<BiasedConstraint> bn_ctrl_cg;
   std::shared_ptr<BiasedConstraint> cn_ctrl_cg;
+  /// The port bindings of BIT_NODE and CONTROL_UNIT, for hooking the same
+  /// modules into another engine (e.g. a WrappedCore).
+  std::vector<ConstrainedPort> bn_ports;
+  std::vector<ConstrainedPort> cu_ports;
 
   CaseStudy() {
     // "holding selection values that maximize the used circuitry" while
@@ -62,8 +66,8 @@ struct CaseStudy {
                        B::kFree, B::kFree, B::kRare4, B::kFree, B::kFree,
                        B::kFree, B::kFree},
         24, 0xC47B1A5);
-    m_bn = engine.attachModule(bn, {{"path_sel", path_cg},
-                                    {"ctrl", bn_ctrl_cg}});
+    bn_ports = {{"path_sel", path_cg}, {"ctrl", bn_ctrl_cg}};
+    m_bn = engine.attachModule(bn, bn_ports);
     m_cn = engine.attachModule(cn, {{"path_sel", path_cg},
                                     {"ctrl", cn_ctrl_cg}});
     // CONTROL_UNIT: its run/stop pins are constrained inputs too — random
@@ -91,14 +95,14 @@ struct CaseStudy {
           1, std::vector<ScheduleConstraint::Entry>{{0, lead}, {1, 1},
                                                     {0, tail}});
     };
-    m_cu = engine.attachModule(
-        cu, {{"start", pulse(1, 680)},
-             {"halt", pulse(2913, 800)},
-             {"clr_stats", pulse(2048, 1200)},
-             {"step_en", one(BiasedConstraint::BitBias::kOften2, 0x57E)},
-             {"mem_ready", one(BiasedConstraint::BitBias::kOften2, 0x33D)},
-             {"edge_count", edge_cg},
-             {"cfg_iters", iter_cg}});
+    cu_ports = {{"start", pulse(1, 680)},
+                {"halt", pulse(2913, 800)},
+                {"clr_stats", pulse(2048, 1200)},
+                {"step_en", one(BiasedConstraint::BitBias::kOften2, 0x57E)},
+                {"mem_ready", one(BiasedConstraint::BitBias::kOften2, 0x33D)},
+                {"edge_count", edge_cg},
+                {"cfg_iters", iter_cg}};
+    m_cu = engine.attachModule(cu, cu_ports);
   }
 
   [[nodiscard]] const Netlist& module(int m) const {

@@ -34,7 +34,8 @@ BiasedConstraint::BiasedConstraint(int width, std::vector<BitBias> bias,
     : width_(width),
       bias_(std::move(bias)),
       lfsr_width_(lfsr_width),
-      seed_(seed) {
+      seed_(seed),
+      lfsr_(lfsr_width, seed) {
   if (static_cast<int>(bias_.size()) != width) {
     throw std::invalid_argument("BiasedConstraint: bias per bit required");
   }
@@ -85,14 +86,14 @@ std::uint64_t BiasedConstraint::valueAt(std::int64_t cycle) const {
     for (Walk& w : walks_) {
       if (w.cycle < slot->cycle) slot = &w;
     }
-    Alfsr lfsr(lfsr_width_, seed_);
-    slot->state = lfsr.state();
+    lfsr_.seed(seed_);
+    slot->state = lfsr_.state();
     slot->cycle = 0;
   }
   if (slot->cycle < cycle) {
-    Alfsr lfsr(lfsr_width_, slot->state);
+    lfsr_.seed(slot->state);
     while (slot->cycle < cycle) {
-      slot->state = lfsr.step();
+      slot->state = lfsr_.step();
       ++slot->cycle;
     }
   }

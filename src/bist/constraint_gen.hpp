@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bist/lfsr.hpp"
 #include "netlist/builder.hpp"
 
 namespace corebist {
@@ -98,6 +99,8 @@ class BiasedConstraint final : public ConstraintGenerator {
     kOne,     // constant 1
   };
 
+  /// Throws std::invalid_argument unless `bias` has `width` entries and
+  /// `lfsr_width` has built-in primitive taps (3..32).
   BiasedConstraint(int width, std::vector<BitBias> bias,
                    int lfsr_width = 24, std::uint64_t seed = 0xB1A5);
 
@@ -130,6 +133,9 @@ class BiasedConstraint final : public ConstraintGenerator {
   };
   mutable std::mutex cache_mu_;
   mutable std::array<Walk, 2> walks_;
+  /// The private ALFSR, built once (taps included) and re-seeded by each
+  /// walk, so valueAt allocates nothing. Guarded by cache_mu_.
+  mutable Alfsr lfsr_;
 };
 
 [[nodiscard]] Bus buildBiasedCgHw(Builder& b, const BiasedConstraint& cg,

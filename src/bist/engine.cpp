@@ -122,24 +122,28 @@ MisrSpec BistEngine::misrSpec(int m) const {
   return makeMisrSpec(h.nl->primaryOutputs(), cfg_.misr_width);
 }
 
+int BistEngine::patternCapacity() const noexcept {
+  return 1 << std::clamp(cfg_.counter_bits, 0, 30);
+}
+
+int BistEngine::growLength(std::size_t have, int cycles) const noexcept {
+  const auto doubled = static_cast<std::int64_t>(2 * have);
+  return std::max(cycles, static_cast<int>(std::min<std::int64_t>(
+                              patternCapacity(), doubled)));
+}
+
 std::shared_ptr<const std::vector<std::uint64_t>> BistEngine::tape(
     int m, int cycles) const {
   const Hookup& h = modules_.at(static_cast<std::size_t>(m));
-  const std::int64_t bound = std::int64_t{1}
-                             << std::clamp(cfg_.counter_bits, 0, 30);
-  if (cycles > bound) {
+  if (cycles > patternCapacity()) {
     return std::make_shared<const std::vector<std::uint64_t>>(
         stimulus(m, cycles));
   }
   const std::lock_guard<std::mutex> lock(h.sign->mu);
   auto& t = h.sign->tape;
   if (t == nullptr || static_cast<int>(t->size()) < cycles) {
-    // Doubling keeps the total regeneration work within twice the bound.
-    const auto have =
-        static_cast<std::int64_t>(t == nullptr ? 0 : t->size());
-    const auto len = static_cast<int>(
-        std::min(bound, std::max<std::int64_t>(cycles, 2 * have)));
-    t = std::make_shared<const std::vector<std::uint64_t>>(stimulus(m, len));
+    t = std::make_shared<const std::vector<std::uint64_t>>(
+        stimulus(m, growLength(t == nullptr ? 0 : t->size(), cycles)));
   }
   return t;
 }
@@ -170,6 +174,14 @@ std::uint64_t BistEngine::goldenSignature(int m, int cycles) const {
   return runAndSign(m, *referenceProgram(m), cycles);
 }
 
+std::vector<std::uint64_t> BistEngine::goldenSignatures(int m,
+                                                        int cycles) const {
+  std::vector<std::uint64_t> curve(
+      static_cast<std::size_t>(std::max(cycles, 0)));
+  referenceProgram(m)->sign(*tape(m, cycles), cycles, curve);
+  return curve;
+}
+
 std::uint64_t BistEngine::runAndSign(int m, const SignatureProgram& physical,
                                      int cycles) const {
   if (physical.inputCount() != module(m).primaryInputs().size()) {
@@ -197,10 +209,13 @@ FaultSimResult BistEngine::signatureCoverage(
     int m, std::span<const Fault> faults, int cycles,
     const FsimBackendOptions& bopts) const {
   const Hookup& h = modules_.at(static_cast<std::size_t>(m));
-  const auto stim = stimulus(m, cycles);
+  const auto stim = tape(m, cycles);
   const std::unique_ptr<FaultSim> fsim =
       makeOrchestrator(SeqFaultSim(*h.nl), bopts);
-  const CyclePatternSource patterns(stim, h.nl->primaryInputs().size());
+  const CyclePatternSource patterns(
+      std::span<const std::uint64_t>(*stim).first(
+          static_cast<std::size_t>(std::max(cycles, 0))),
+      h.nl->primaryInputs().size());
   FaultSimOptions opts;
   opts.cycles = cycles;
   opts.misr = misrSpec(m);

@@ -108,6 +108,21 @@ class BistEngine {
   /// reference program run over the module's stimulus tape.
   [[nodiscard]] std::uint64_t goldenSignature(int m, int cycles) const;
 
+  /// The golden curve of module `m`: entry c is goldenSignature(m, c + 1),
+  /// for c < `cycles`, all from one pass of the reference program.
+  [[nodiscard]] std::vector<std::uint64_t> goldenSignatures(int m,
+                                                            int cycles) const;
+
+  /// Patterns the pattern counter can count, 2^counter_bits: the longest
+  /// stimulus tape kept, and the longest curve an artifact holds.
+  [[nodiscard]] int patternCapacity() const noexcept;
+
+  /// Length to rebuild a per-module, prefix-indexed product (the stimulus
+  /// tape, a golden or coverage curve) to when `cycles` are needed and
+  /// `have` are built: double, capped at patternCapacity(), never short of
+  /// `cycles`. Rebuilding work then stays within twice the capacity.
+  [[nodiscard]] int growLength(std::size_t have, int cycles) const noexcept;
+
   /// The compiled signature program of module `m`'s reference netlist,
   /// built on first use and shared by every later caller.
   [[nodiscard]] std::shared_ptr<const SignatureProgram> referenceProgram(

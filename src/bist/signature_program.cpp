@@ -79,11 +79,17 @@ SignatureProgram::SignatureProgram(const Netlist& nl, const MisrSpec& misr)
 }
 
 std::uint64_t SignatureProgram::sign(std::span<const std::uint64_t> stimulus,
-                                     int cycles) const {
+                                     int cycles,
+                                     std::span<std::uint64_t> per_cycle) const {
   if (static_cast<int>(stimulus.size()) < cycles) {
     throw std::invalid_argument(
         "SignatureProgram::sign: stimulus shorter than cycles");
   }
+  if (!per_cycle.empty() && static_cast<int>(per_cycle.size()) < cycles) {
+    throw std::invalid_argument(
+        "SignatureProgram::sign: per-cycle output shorter than cycles");
+  }
+  std::uint64_t* const states = per_cycle.data();
   const std::uint64_t keep = misr_width_ == 64
                                  ? ~std::uint64_t{0}
                                  : (std::uint64_t{1} << misr_width_) - 1;
@@ -161,6 +167,7 @@ std::uint64_t SignatureProgram::sign(std::span<const std::uint64_t> stimulus,
     }
     const std::uint64_t msb = (state >> msb_shift) & 1u;
     state = ((state << 1) ^ (poly & (0 - msb)) ^ feed) & keep;
+    if (states != nullptr) states[c] = state;
     for (std::size_t i = 0; i < dcapt.size(); ++i) dcapt[i] = val[d_slots_[i]];
     for (std::size_t i = 0; i < dcapt.size(); ++i) val[q_slots_[i]] = dcapt[i];
   }

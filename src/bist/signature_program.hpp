@@ -10,7 +10,8 @@
 // so each maximal run of one type is evaluated by a loop specialised to that
 // type, with no per-gate dispatch. Every net holds one byte (0 or 1): the
 // kernel simulates exactly one machine, unlike the 64-lane fault-simulation
-// words. The MISR fold runs inside the cycle loop, so no trace is kept.
+// words. The MISR fold runs inside the cycle loop, so no net trace is kept;
+// a caller may ask for the MISR state after every cycle.
 //
 // Per cycle: drive the primary inputs from the stimulus word, evaluate the
 // runs, clock the module outputs into the MISR, then capture every
@@ -39,10 +40,13 @@ class SignatureProgram {
   SignatureProgram(const Netlist& nl, const MisrSpec& misr);
 
   /// MISR signature after the first `cycles` words of `stimulus` (bit j of
-  /// word c drives the j-th primary input at cycle c). Throws
-  /// std::invalid_argument when the stimulus is shorter than `cycles`.
-  [[nodiscard]] std::uint64_t sign(std::span<const std::uint64_t> stimulus,
-                                   int cycles) const;
+  /// word c drives the j-th primary input at cycle c). When `per_cycle` is
+  /// not empty, entry c receives the MISR state after cycle c, so one pass
+  /// yields the signature of every shorter run too. Throws
+  /// std::invalid_argument when the stimulus, or a non-empty `per_cycle`,
+  /// is shorter than `cycles`.
+  std::uint64_t sign(std::span<const std::uint64_t> stimulus, int cycles,
+                     std::span<std::uint64_t> per_cycle = {}) const;
 
   [[nodiscard]] std::size_t inputCount() const noexcept {
     return pi_slots_.size();

@@ -129,8 +129,8 @@ CoreReport SessionChannel::testCore(const CorePlan& p,
       ModuleVerdict verdict;
       verdict.signature = ate_.readWdr();
       // The golden signature is the good-machine simulation every uncached
-      // campaign pays per core; the shared artifact store memoizes it per
-      // (module content, patterns).
+      // campaign pays per core; the shared artifact store reads it off the
+      // module's golden curve.
       verdict.golden = artifacts_ != nullptr
                            ? artifacts_->goldenSignature(core, m, p.patterns)
                            : core.goldenSignature(m, p.patterns);
@@ -164,7 +164,7 @@ void SessionChannel::measureCoverage(const WrappedCore& core,
     bopts.num_workers = p.coverage_workers;
     double coverage;
     if (artifacts_ != nullptr) {
-      // Memoized per (module content, patterns): coverage is
+      // Read off the module's MISR coverage curve: coverage is
       // backend-invariant, so bopts only steers how a miss is computed.
       coverage = artifacts_->signatureCoverage(core, m, p.patterns, bopts);
     } else {

@@ -157,6 +157,12 @@ struct FaultSimResult {
   /// every window yields, and is the BIST diagnosis syndrome of Table 5.
   std::vector<std::uint64_t> window_sig;
   int sig_words_per_fault = 0;
+  /// When misr set: entry c counts the faults whose MISR state differs
+  /// from the good machine's after cycle c. MISR campaigns always run
+  /// every fault for the full budget, and the state after n cycles of a
+  /// longer run is the final state of an n-cycle run, so entry n-1 equals
+  /// the misr_detect count of an n-cycle campaign.
+  std::vector<std::uint32_t> misr_curve;
   /// Per fault, when record_detections > 0: detecting pattern indices in
   /// ascending order (at most `record_detections` entries).
   std::vector<std::vector<std::uint32_t>> detect_patterns;
@@ -165,11 +171,14 @@ struct FaultSimResult {
   std::size_t detected = 0;
   std::size_t total = 0;
 
-  [[nodiscard]] double coverage() const {
+  /// `caught` out of `total` faults, in percent (0 for an empty universe).
+  [[nodiscard]] static double percent(std::size_t caught, std::size_t total) {
     return total == 0 ? 0.0
-                      : 100.0 * static_cast<double>(detected) /
+                      : 100.0 * static_cast<double>(caught) /
                             static_cast<double>(total);
   }
+
+  [[nodiscard]] double coverage() const { return percent(detected, total); }
 
   /// Signature-qualified coverage (%): faults whose final MISR signature
   /// differs from the good machine, i.e. coverage() minus aliasing losses.
@@ -179,9 +188,7 @@ struct FaultSimResult {
     for (const char d : misr_detect) {
       if (d != 0) ++caught;
     }
-    return total == 0 ? 0.0
-                      : 100.0 * static_cast<double>(caught) /
-                            static_cast<double>(total);
+    return percent(caught, total);
   }
 };
 

@@ -42,7 +42,10 @@ FaultSimResult ParallelFaultSim::run(std::span<const Fault> faults,
   const bool want_misr = opts.misr.has_value();
   const bool want_record = opts.record_detections > 0;
   if (want_windows) result.window_mask.assign(faults.size(), 0);
-  if (want_misr) result.misr_detect.assign(faults.size(), 0);
+  if (want_misr) {
+    result.misr_detect.assign(faults.size(), 0);
+    result.misr_curve.assign(static_cast<std::size_t>(total_cycles), 0);
+  }
   if (want_windows && want_misr) {
     result.sig_words_per_fault = (opts.windows * opts.misr->width + 63) / 64;
     result.window_sig.assign(
@@ -75,6 +78,12 @@ FaultSimResult ParallelFaultSim::run(std::span<const Fault> faults,
   if (engines_.size() < static_cast<std::size_t>(nthreads)) {
     engines_.resize(static_cast<std::size_t>(nthreads));
   }
+  // Per-worker sums of the shards' MISR curves (MISR campaigns run one
+  // full-length stage), added up after the join: integer sums, so the
+  // result does not depend on which worker graded which shard.
+  std::vector<std::vector<std::uint32_t>> curves(
+      static_cast<std::size_t>(nthreads),
+      std::vector<std::uint32_t>(result.misr_curve.size(), 0));
 
   for (const int stage_cycles : stages) {
     if (live.empty()) break;
@@ -120,6 +129,10 @@ FaultSimResult ParallelFaultSim::run(std::span<const Fault> faults,
             result.detect_patterns[gi] = sub.detect_patterns[sk];
           }
         }
+        auto& curve = curves[static_cast<std::size_t>(tid)];
+        for (std::size_t c = 0; c < curve.size(); ++c) {
+          curve[c] += sub.misr_curve[c];
+        }
       }
     };
 
@@ -139,6 +152,11 @@ FaultSimResult ParallelFaultSim::run(std::span<const Fault> faults,
     live = std::move(survivors);
   }
 
+  for (const auto& curve : curves) {
+    for (std::size_t c = 0; c < curve.size(); ++c) {
+      result.misr_curve[c] += curve[c];
+    }
+  }
   for (const auto fd : result.first_detect) {
     if (fd >= 0) ++result.detected;
   }

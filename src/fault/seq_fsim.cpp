@@ -278,10 +278,14 @@ struct RunContext {
   std::vector<std::vector<std::uint32_t>> misr_feeds;  // slots per tap
 };
 
+/// Grades one group into `result`'s per-fault rows and, when the MISR is
+/// modelled, adds the group's per-cycle MISR-difference counts into
+/// `misr_curve` (the caller's per-worker accumulator).
 void simulateGroup(const RunContext& ctx, const SeqFsimOptions& opts,
                    std::span<const Fault> faults,
                    std::span<const std::uint32_t> members,
-                   GroupScratch& scratch, SeqFsimResult& result) {
+                   GroupScratch& scratch, SeqFsimResult& result,
+                   std::span<std::uint32_t> misr_curve) {
   const Topology& topo = *ctx.topo;
   const int cycles = opts.cycles;
   const bool want_windows = opts.windows > 0;
@@ -464,10 +468,12 @@ void simulateGroup(const RunContext& ctx, const SeqFsimOptions& opts,
       }
     }
 
-    // MISR compaction (bit-sliced across machines).
+    // MISR compaction (bit-sliced across machines), then the count of
+    // machines whose state now differs from the good one.
     if (want_misr) {
       auto& s = scratch.misr;
       const std::uint64_t msb = s[static_cast<std::size_t>(misr_w - 1)];
+      std::uint64_t differs = 0;
       for (int j = misr_w - 1; j >= 0; --j) {
         std::uint64_t feed = 0;
         for (const std::uint32_t n :
@@ -477,8 +483,12 @@ void simulateGroup(const RunContext& ctx, const SeqFsimOptions& opts,
         const std::uint64_t shifted =
             j > 0 ? s[static_cast<std::size_t>(j - 1)] : 0;
         const std::uint64_t fb = ((opts.misr->poly >> j) & 1u) != 0 ? msb : 0;
-        s[static_cast<std::size_t>(j)] = shifted ^ fb ^ feed;
+        const std::uint64_t tap = shifted ^ fb ^ feed;
+        s[static_cast<std::size_t>(j)] = tap;
+        differs |= tap ^ goodLane(tap);
       }
+      misr_curve[static_cast<std::size_t>(cycle)] += static_cast<std::uint32_t>(
+          std::popcount(differs & group_mask));
     }
 
     // Window-boundary MISR read-out (signature syndrome capture).
@@ -600,7 +610,10 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
   result.total = faults.size();
   result.first_detect.assign(faults.size(), -1);
   if (opts.windows > 0) result.window_mask.assign(faults.size(), 0);
-  if (opts.misr) result.misr_detect.assign(faults.size(), 0);
+  if (opts.misr) {
+    result.misr_detect.assign(faults.size(), 0);
+    result.misr_curve.assign(static_cast<std::size_t>(opts.cycles), 0);
+  }
   if (opts.windows > 0 && opts.misr) {
     result.sig_words_per_fault = (opts.windows * opts.misr->width + 63) / 64;
     result.window_sig.assign(
@@ -639,6 +652,11 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
       groups.push_back(indices.subspan(at, std::min<std::size_t>(
                                                63, indices.size() - at)));
     }
+    // Per-worker MISR curves, summed after the join (integer sums, so the
+    // total does not depend on which worker took which group).
+    std::vector<std::vector<std::uint32_t>> curves(
+        static_cast<std::size_t>(nthreads),
+        std::vector<std::uint32_t>(result.misr_curve.size(), 0));
     auto worker = [&](int tid) {
       GroupScratch scratch;
       scratch.diff.assign(topo_->slots(), 0);
@@ -646,7 +664,8 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
       scratch.pending.assign((topo_->gates.size() + 63) / 64, 0);
       for (std::size_t g = static_cast<std::size_t>(tid); g < groups.size();
            g += static_cast<std::size_t>(nthreads)) {
-        simulateGroup(ctx, pass_opts, faults, groups[g], scratch, result);
+        simulateGroup(ctx, pass_opts, faults, groups[g], scratch, result,
+                      curves[static_cast<std::size_t>(tid)]);
       }
     };
     std::vector<std::future<void>> futs;
@@ -655,6 +674,11 @@ SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
     }
     worker(0);
     for (auto& f : futs) f.get();
+    for (const auto& curve : curves) {
+      for (std::size_t c = 0; c < curve.size(); ++c) {
+        result.misr_curve[c] += curve[c];
+      }
+    }
   };
 
   std::vector<std::uint32_t> all(faults.size());

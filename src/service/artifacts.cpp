@@ -1,5 +1,7 @@
 #include "service/artifacts.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "bist/engine.hpp"
@@ -94,6 +96,16 @@ std::uint64_t moduleContentKey(const WrappedCore& core, int m) {
   return h;
 }
 
+/// Curves answer budgets the pattern counter can count, and no others.
+void requireBudget(const WrappedCore& core, int patterns) {
+  const int capacity = core.engine().patternCapacity();
+  if (patterns < 1 || patterns > capacity) {
+    throw std::invalid_argument("ArtifactStore: pattern budget " +
+                                std::to_string(patterns) + " outside [1, " +
+                                std::to_string(capacity) + "]");
+  }
+}
+
 }  // namespace
 
 ArtifactStore::ModuleArtifacts& ArtifactStore::bundleFor(
@@ -153,46 +165,54 @@ std::span<const Fault> ArtifactStore::stuckAtFaults(const WrappedCore& core,
 
 std::uint16_t ArtifactStore::goldenSignature(const WrappedCore& core, int m,
                                              int patterns) {
+  requireBudget(core, patterns);
   ModuleArtifacts& a = bundleFor(core, m);
+  const auto n = static_cast<std::size_t>(patterns);
   const std::lock_guard<std::mutex> lock(a.mu);
-  const auto it = a.goldens.find(patterns);
-  if (it != a.goldens.end()) {
+  if (a.goldens.size() >= n) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+  } else {
+    const BistEngine& engine = core.engine();
+    a.goldens = engine.goldenSignatures(
+        m, engine.growLength(a.goldens.size(), patterns));
+    misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  const std::uint16_t sig = core.goldenSignature(m, patterns);
-  a.goldens.emplace(patterns, sig);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return sig;
+  return static_cast<std::uint16_t>(a.goldens[n - 1]);
 }
 
 double ArtifactStore::signatureCoverage(const WrappedCore& core, int m,
                                         int patterns,
                                         const FsimBackendOptions& bopts) {
+  requireBudget(core, patterns);
   ModuleArtifacts& a = bundleFor(core, m);
+  const auto n = static_cast<std::size_t>(patterns);
+  const auto answer = [&] {
+    return FaultSimResult::percent(a.misr_curve[n - 1], a.faults.size());
+  };
   // Fault enumeration goes through the cache too (its own hit/miss), but
   // only when the coverage value itself is a miss.
   {
     const std::lock_guard<std::mutex> lock(a.mu);
-    const auto it = a.coverages.find(patterns);
-    if (it != a.coverages.end()) {
+    if (a.misr_curve.size() >= n) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      return answer();
     }
   }
   const std::span<const Fault> faults = stuckAtFaults(core, m);
   const std::lock_guard<std::mutex> lock(a.mu);
-  const auto it = a.coverages.find(patterns);  // raced compute: reuse theirs
-  if (it != a.coverages.end()) {
+  if (a.misr_curve.size() >= n) {  // raced compute: reuse theirs
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return answer();
   }
-  const double coverage =
-      core.engine().signatureCoverage(m, faults, patterns, bopts)
-          .misrCoverage();
-  a.coverages.emplace(patterns, coverage);
+  const BistEngine& engine = core.engine();
+  a.misr_curve =
+      engine
+          .signatureCoverage(m, faults,
+                             engine.growLength(a.misr_curve.size(), patterns),
+                             bopts)
+          .misr_curve;
   misses_.fetch_add(1, std::memory_order_relaxed);
-  return coverage;
+  return answer();
 }
 
 ArtifactStats ArtifactStore::stats() const {

@@ -22,13 +22,24 @@
 //     config and the module's output count. All are set at attach time.
 //
 // ArtifactStore memoizes those products once per *module content* and
-// serves them by reference to every campaign. Lookup is two-level: an
-// identity fast path on `engine.moduleId(m)` — unique within the process
-// and never reused, so a SoC rebuilt after another was destroyed (even with
-// its netlists at the same heap addresses) can never inherit the old SoC's
-// bundles — then an fnv1a-64 content key over the module structure, names,
-// engine config, input map and CG value streams, so two cores carrying
-// byte-identical hookups share one artifact bundle. A fast-path hit hashes
+// serves them by reference to every campaign. The two budget-dependent
+// products are kept as curves indexed by pattern budget, not per exact
+// budget: the golden curve (the MISR state after every cycle, from one pass
+// of the reference SignatureProgram) and the MISR coverage curve (how many
+// faults' MISR state differs after every cycle, from one no-drop MISR
+// campaign). A request for budget N reads entry N-1; a request past the
+// end rebuilds the curve to max(N, min(2^counter_bits, 2 * length)), the
+// stimulus tape's doubling rule. So a bundle holds at most 2^counter_bits
+// words per curve (32 KB at the default 4096), however many budgets are
+// asked, and answers budgets in [1, 2^counter_bits] only.
+//
+// Lookup is two-level: an identity fast path on `engine.moduleId(m)` —
+// unique within the process and never reused, so a SoC rebuilt after
+// another was destroyed (even with its netlists at the same heap addresses)
+// can never inherit the old SoC's bundles — then an fnv1a-64 content key
+// over the module structure, names, engine config, input map and CG value
+// streams, so two cores carrying byte-identical hookups share one artifact
+// bundle. A fast-path hit hashes
 // nothing.
 // Because the content key covers every input the products depend on, a
 // cache hit is fingerprint-invisible by construction (pinned by
@@ -37,20 +48,21 @@
 // Thread-safety: the store is shared by every worker of a CampaignService
 // (and by concurrent services). The registry map is guarded by one store
 // mutex; each artifact bundle carries its own mutex that serializes product
-// computation, so two workers asking for the same uncomputed golden block
-// each other (one computes, one reuses) while different modules proceed in
-// parallel. Lock order is always tree-lock -> store map -> bundle — the
-// store never calls back into campaign execution, so no cycle exists.
+// computation, so two workers asking for budgets past the same curve's end
+// block each other (one rebuilds, the other reads the rebuilt curve) while
+// different modules proceed in parallel. Lock order is always tree-lock ->
+// store map -> bundle — the store never calls back into campaign execution,
+// so no cycle exists.
 #ifndef COREBIST_SERVICE_ARTIFACTS_HPP_
 #define COREBIST_SERVICE_ARTIFACTS_HPP_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "analyze/lint.hpp"
 #include "core/wrapped_core.hpp"
@@ -61,9 +73,10 @@ namespace corebist {
 
 /// Cache-economy counters. `hits` / `misses` count product requests
 /// (lint, fault universe, golden signature, coverage) served from vs
-/// computed into the cache; `modules_built` counts distinct artifact
-/// bundles constructed and `modules_shared` counts registrations that
-/// deduplicated onto an existing bundle via the content key.
+/// computed into the cache (a golden or coverage miss is one curve build);
+/// `modules_built` counts distinct artifact bundles constructed and
+/// `modules_shared` counts registrations that deduplicated onto an existing
+/// bundle via the content key.
 struct ArtifactStats {
   std::uint64_t modules_built = 0;
   std::uint64_t modules_shared = 0;
@@ -92,14 +105,17 @@ class ArtifactStore {
 
   /// Fault-free MISR signature of module `m` after `patterns` cycles —
   /// the good-machine sequential simulation every uncached campaign pays
-  /// per core. Memoized per (module content, patterns).
+  /// per core. Read off the module's golden curve. Throws
+  /// std::invalid_argument outside [1, 2^counter_bits].
   std::uint16_t goldenSignature(const WrappedCore& core, int m, int patterns);
 
   /// Signature-qualified stuck-at coverage (%) of module `m` under
-  /// `patterns` cycles. Memoized per (module content, patterns): coverage
-  /// results are backend-invariant (byte-identical across the serial and
-  /// threaded orchestrators — pinned by the backend suites),
-  /// so `bopts` only steers how a *miss* is computed, never the value.
+  /// `patterns` cycles, read off the module's MISR coverage curve; equal
+  /// to BistEngine::signatureCoverage(m, faults, patterns).misrCoverage().
+  /// Coverage is backend-invariant (byte-identical across the serial and
+  /// threaded orchestrators — pinned by the backend suites), so `bopts`
+  /// only steers how a *miss* is computed, never the value. Throws
+  /// std::invalid_argument outside [1, 2^counter_bits].
   double signatureCoverage(const WrappedCore& core, int m, int patterns,
                            const FsimBackendOptions& bopts);
 
@@ -113,8 +129,10 @@ class ArtifactStore {
     LintReport lint;
     bool faults_done = false;
     std::vector<Fault> faults;
-    std::map<int, std::uint16_t> goldens;    // patterns -> signature
-    std::map<int, double> coverages;         // patterns -> misrCoverage()
+    /// goldens[c]: the golden MISR signature after c + 1 patterns.
+    std::vector<std::uint64_t> goldens;
+    /// misr_curve[c]: faults caught by the signature after c + 1 patterns.
+    std::vector<std::uint32_t> misr_curve;
   };
 
   ModuleArtifacts& bundleFor(const WrappedCore& core, int m);

@@ -18,6 +18,7 @@
 #include "bist/lfsr.hpp"
 #include "bist/misr.hpp"
 #include "bist/signature_program.hpp"
+#include "fault/fault.hpp"
 #include "ldpc/gatelevel.hpp"
 #include "netlist/builder.hpp"
 #include "seq_sweep_reference.hpp"
@@ -381,6 +382,9 @@ TEST(SignatureProgram, RejectsShortStimulus) {
   const std::vector<std::uint64_t> stim(16, 1);
   EXPECT_THROW((void)program.sign(stim, 17), std::invalid_argument);
   EXPECT_NO_THROW((void)program.sign(stim, 16));
+  std::vector<std::uint64_t> states(15);
+  EXPECT_THROW((void)program.sign(stim, 16, states), std::invalid_argument);
+  EXPECT_NO_THROW((void)program.sign(stim, 15, states));
 }
 
 TEST(SignatureProgram, RejectsMisrWidthOutsideOneWord) {
@@ -517,6 +521,77 @@ TEST(Engine, ModuleIdsAreNeverReused) {
     EXPECT_GT(engine.moduleId(m0), last);
     EXPECT_GT(engine.moduleId(m1), engine.moduleId(m0));
     last = engine.moduleId(m1);
+  }
+}
+
+TEST(Engine, GoldenCurveMatchesEveryPrefix) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Netlist nl = randomSignatureNetlist(seed);
+    BistEngine engine;
+    const int m = engine.attachModule(nl);
+    constexpr int kLength = 130;
+    const std::vector<std::uint64_t> curve =
+        engine.goldenSignatures(m, kLength);
+    ASSERT_EQ(curve.size(), static_cast<std::size_t>(kLength));
+    const std::vector<std::uint64_t> stim = engine.stimulus(m, kLength);
+    const MisrSpec misr = engine.misrSpec(m);
+    for (int n = 1; n <= kLength; ++n) {
+      const std::uint64_t want = engine.goldenSignature(m, n);
+      EXPECT_EQ(curve[static_cast<std::size_t>(n - 1)], want)
+          << "seed " << seed << " prefix " << n;
+      EXPECT_EQ(want, testref::sweepGoodSignature(nl, stim, n, misr))
+          << "seed " << seed << " prefix " << n;
+    }
+  }
+  const bench::CaseStudy cs;
+  for (const int m : {cs.m_bn, cs.m_cu}) {
+    const std::vector<std::uint64_t> curve =
+        cs.engine.goldenSignatures(m, 4096);
+    for (const int n : {1, 2, 511, 512, 4095, 4096}) {
+      EXPECT_EQ(curve[static_cast<std::size_t>(n - 1)],
+                cs.engine.goldenSignature(m, n))
+          << cs.module(m).name() << " prefix " << n;
+    }
+  }
+}
+
+TEST(Engine, CoverageCurveAnswersEveryShorterBudget) {
+  // MISR campaigns never drop or stop early, so entry N-1 of an L-cycle
+  // campaign's curve is the coverage an N-cycle campaign reports — to the
+  // last bit of the double.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Netlist nl = randomSignatureNetlist(seed);
+    BistEngine engine;
+    const int m = engine.attachModule(nl);
+    const std::vector<Fault> faults = enumerateStuckAt(nl).faults;
+    constexpr int kLength = 48;
+    const FaultSimResult full = engine.signatureCoverage(m, faults, kLength, 2);
+    ASSERT_EQ(full.misr_curve.size(), static_cast<std::size_t>(kLength));
+    EXPECT_GT(full.misr_curve.back(), 0u);
+    for (int n = 1; n <= kLength; ++n) {
+      const FaultSimResult cut =
+          engine.signatureCoverage(m, faults, n, 1, FsimBackend::kSerial);
+      EXPECT_EQ(FaultSimResult::percent(
+                    full.misr_curve[static_cast<std::size_t>(n - 1)],
+                    full.total),
+                cut.misrCoverage())
+          << "seed " << seed << " budget " << n;
+    }
+  }
+}
+
+TEST(Engine, CoverageCurveMatchesSampledBudgetsOnCaseStudy) {
+  const bench::CaseStudy cs;
+  for (const int m : {cs.m_bn, cs.m_cu}) {
+    const std::vector<Fault> faults = enumerateStuckAt(cs.module(m)).faults;
+    const FaultSimResult full = cs.engine.signatureCoverage(m, faults, 256, 2);
+    for (const int n : {1, 37, 100, 256}) {
+      EXPECT_EQ(FaultSimResult::percent(
+                    full.misr_curve[static_cast<std::size_t>(n - 1)],
+                    full.total),
+                cs.engine.signatureCoverage(m, faults, n, 2).misrCoverage())
+          << cs.module(m).name() << " budget " << n;
+    }
   }
 }
 

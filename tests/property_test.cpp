@@ -249,6 +249,7 @@ struct OracleRecords {
   std::vector<std::uint64_t> window_mask;
   std::vector<char> misr_detect;
   std::vector<std::uint64_t> window_sig;
+  std::vector<std::uint32_t> misr_curve;  // per cycle
 };
 
 /// Scalar sequential oracle: one machine at a time, one bool per net, each
@@ -268,8 +269,13 @@ class ScalarSeqOracle {
     OracleRecords r;
     const int sig_words = (windows_ * misr_.width + 63) / 64;
     r.window_sig.assign(faults.size() * static_cast<std::size_t>(sig_words), 0);
+    r.misr_curve.assign(static_cast<std::size_t>(cycles_), 0);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       const Trace bad = simulate(&faults[i]);
+      for (int c = 0; c < cycles_; ++c) {
+        const auto cu = static_cast<std::size_t>(c);
+        if (bad.misr[cu] != good_.misr[cu]) ++r.misr_curve[cu];
+      }
       std::int32_t first = -1;
       std::uint64_t mask = 0;
       for (int c = 0; c < cycles_; ++c) {
@@ -487,6 +493,7 @@ TEST_P(SeqOracleProperty, SeqFaultSimMatchesScalarOracle) {
         EXPECT_EQ(got->window_mask, want.window_mask);
         EXPECT_EQ(got->misr_detect, want.misr_detect);
         EXPECT_EQ(got->window_sig, want.window_sig);
+        EXPECT_EQ(got->misr_curve, want.misr_curve);
       }
     }
   }

@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <latch>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -363,6 +365,138 @@ TEST(CampaignService, SocRebuiltInTheSameStorageGetsItsOwnGoldens) {
       << "healthy core failed; module netlist "
       << (reused ? "reused" : "did not reuse") << " the first SoC's address";
   EXPECT_EQ(store->stats().modules_built, 2u);
+}
+
+/// A finalized one-module core for direct store requests.
+std::unique_ptr<WrappedCore> makeStoreCore(BistEngineConfig cfg = {}) {
+  auto core = std::make_unique<WrappedCore>("store_core", std::move(cfg));
+  core->addModule(makeToyModule(0));
+  core->finalize();
+  return core;
+}
+
+/// The coverage a direct, uncached campaign reports at `patterns`.
+double directCoverage(const WrappedCore& core, int patterns) {
+  const std::vector<Fault> faults =
+      enumerateStuckAt(core.engine().module(0)).faults;
+  return core.engine()
+      .signatureCoverage(0, faults, patterns, FsimBackendOptions{})
+      .misrCoverage();
+}
+
+TEST(ArtifactStore, CurvesGrowByDoublingWithOneMissPerBuild) {
+  const auto core = makeStoreCore();
+  ArtifactStore store;
+  (void)store.stuckAtFaults(*core, 0);  // so coverage misses count alone
+  // 100 builds 100; 60 reads it; 150 builds max(150, 2 * 100) = 200, so
+  // 200 reads it; 201 builds 400.
+  const std::vector<std::pair<int, bool>> steps = {
+      {100, true}, {60, false}, {150, true}, {200, false}, {201, true},
+      {400, false}};
+  for (const bool golden : {true, false}) {
+    for (const auto& [patterns, miss] : steps) {
+      const ArtifactStats before = store.stats();
+      if (golden) {
+        EXPECT_EQ(store.goldenSignature(*core, 0, patterns),
+                  core->goldenSignature(0, patterns))
+            << patterns << " patterns";
+      } else {
+        EXPECT_EQ(store.signatureCoverage(*core, 0, patterns,
+                                          FsimBackendOptions{}),
+                  directCoverage(*core, patterns))
+            << patterns << " patterns";
+      }
+      const ArtifactStats after = store.stats();
+      EXPECT_EQ(after.misses - before.misses, miss ? 1u : 0u)
+          << (golden ? "golden " : "coverage ") << patterns;
+      // A coverage miss reads the cached fault universe: one hit.
+      EXPECT_EQ(after.hits - before.hits, miss && golden ? 0u : 1u)
+          << (golden ? "golden " : "coverage ") << patterns;
+    }
+  }
+}
+
+TEST(ArtifactStore, CurvesStopAtThePatternCounterCapacity) {
+  BistEngineConfig cfg;
+  cfg.counter_bits = 8;
+  const auto core = makeStoreCore(cfg);
+  ArtifactStore store;
+  (void)store.stuckAtFaults(*core, 0);
+  // 150 builds 150; 160 builds min(256, 300) = 256; 256 reads it.
+  const std::vector<std::pair<int, bool>> steps = {
+      {150, true}, {160, true}, {256, false}, {1, false}};
+  for (const bool golden : {true, false}) {
+    for (const auto& [patterns, miss] : steps) {
+      const std::uint64_t before = store.stats().misses;
+      if (golden) {
+        EXPECT_EQ(store.goldenSignature(*core, 0, patterns),
+                  core->goldenSignature(0, patterns));
+      } else {
+        EXPECT_EQ(store.signatureCoverage(*core, 0, patterns,
+                                          FsimBackendOptions{}),
+                  directCoverage(*core, patterns));
+      }
+      EXPECT_EQ(store.stats().misses - before, miss ? 1u : 0u)
+          << (golden ? "golden " : "coverage ") << patterns;
+    }
+  }
+  for (const int patterns : {0, 257}) {
+    EXPECT_THROW((void)store.goldenSignature(*core, 0, patterns),
+                 std::invalid_argument);
+    EXPECT_THROW((void)store.signatureCoverage(*core, 0, patterns,
+                                               FsimBackendOptions{}),
+                 std::invalid_argument);
+  }
+}
+
+TEST(ArtifactStore, ConcurrentBudgetsOfOneBundleAgree) {
+  // Two workers ask different budgets of one bundle at once, so one of
+  // them rebuilds a curve the other may have just built (runs under TSan
+  // in CI).
+  const auto core = makeStoreCore();
+  ArtifactStore store;
+  std::latch start(2);
+  std::uint16_t golden[2] = {0, 0};
+  double coverage[2] = {0.0, 0.0};
+  const int budgets[2] = {90, 310};
+  const auto ask = [&](int k) {
+    start.arrive_and_wait();
+    golden[k] = store.goldenSignature(*core, 0, budgets[k]);
+    coverage[k] =
+        store.signatureCoverage(*core, 0, budgets[k], FsimBackendOptions{});
+  };
+  std::thread a(ask, 0);
+  std::thread b(ask, 1);
+  a.join();
+  b.join();
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(golden[k], core->goldenSignature(0, budgets[k]));
+    EXPECT_EQ(coverage[k], directCoverage(*core, budgets[k]));
+  }
+}
+
+TEST(CampaignService, BudgetOrderIsFingerprintInvisible) {
+  // Curves answer a budget from a build for another one: ascending and
+  // descending budget sequences on one store, and a fresh store per
+  // budget, must all report the same campaigns.
+  const std::vector<int> budgets = {40, 77, 128, 300};
+  const auto fingerprints = [](std::vector<int> order, bool fresh_store) {
+    auto soc = makeSoc();
+    CampaignServiceConfig cfg;
+    cfg.workers = 2;
+    std::optional<CampaignService> service;
+    std::map<int, std::string> out;
+    for (const int patterns : order) {
+      if (fresh_store || !service) service.emplace(*soc, cfg);
+      TestPlan plan = TestPlan{}.withPatterns(patterns);
+      plan.coverage_target = 5.0;
+      out[patterns] = service->await(service->submit(plan)).fingerprint();
+    }
+    return out;
+  };
+  const auto fresh = fingerprints(budgets, true);
+  EXPECT_EQ(fingerprints(budgets, false), fresh);
+  EXPECT_EQ(fingerprints({budgets.rbegin(), budgets.rend()}, false), fresh);
 }
 
 TEST(CampaignService, PredictRacesRunSafely) {
