@@ -19,9 +19,11 @@ double coverageFor(const Netlist& nl, BistEngine& engine, int slot,
   const FaultUniverse u = enumerateStuckAt(nl);
   const auto stim = engine.stimulus(slot, cycles);
   SeqFaultSim fsim(nl);
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = cycles;
-  return fsim.run(u.faults, stim, o).coverage();
+  return fsim
+      .run(u.faults, CyclePatternSource(stim, nl.primaryInputs().size()), o)
+      .coverage();
 }
 }  // namespace
 

@@ -24,9 +24,11 @@ int main(int argc, char** argv) {
     BistEngine engine(cfg);
     const int m = engine.attachModule(cs.cu);
     SeqFaultSim fsim(cs.cu);
-    SeqFsimOptions o;
+    FaultSimOptions o;
     o.cycles = cycles;
-    const auto r = fsim.run(u.faults, engine.stimulus(m, cycles), o);
+    const auto stim = engine.stimulus(m, cycles);
+    const auto r = fsim.run(
+        u.faults, CyclePatternSource(stim, cs.cu.primaryInputs().size()), o);
     std::printf("  %2d-bit primitive poly %15.2f%%%s\n", width, r.coverage(),
                 width == 20 ? "   <- case study" : "");
   }
@@ -39,9 +41,11 @@ int main(int argc, char** argv) {
     BistEngine engine(cfg);
     const int m = engine.attachModule(cs.cu);
     SeqFaultSim fsim(cs.cu);
-    SeqFsimOptions o;
+    FaultSimOptions o;
     o.cycles = cycles;
-    const auto r = fsim.run(u.faults, engine.stimulus(m, cycles), o);
+    const auto stim = engine.stimulus(m, cycles);
+    const auto r = fsim.run(
+        u.faults, CyclePatternSource(stim, cs.cu.primaryInputs().size()), o);
     std::printf("  20-bit NON-primitive taps %11.2f%%   <- short period "
                 "hurts\n", r.coverage());
   }

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const int cycles = quick ? 256 : 1024;
   const FaultUniverse u = enumerateStuckAt(cs.cu);
   const auto stim = cs.engine.stimulus(cs.m_cu, cycles);
+  const CyclePatternSource patterns(stim, cs.cu.primaryInputs().size());
 
   std::printf("\n%d patterns, %zu faults; detected at outputs vs detected in "
               "signature\n", cycles, u.faults.size());
@@ -28,10 +29,10 @@ int main(int argc, char** argv) {
               "misr-detect", "aliased", "2^-w bound");
   for (const int width : {4, 8, 12, 16, 20}) {
     SeqFaultSim fsim(cs.cu);
-    SeqFsimOptions o;
+    FaultSimOptions o;
     o.cycles = cycles;
     o.misr = makeMisrSpec(cs.cu.primaryOutputs(), width);
-    const auto r = fsim.run(u.faults, stim, o);
+    const auto r = fsim.run(u.faults, patterns, o);
     std::size_t out_det = 0;
     std::size_t misr_det = 0;
     std::size_t aliased = 0;

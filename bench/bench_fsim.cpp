@@ -92,11 +92,14 @@ int main(int argc, char** argv) {
     // exactly; a diverging row fails the bench.
     FaultSimResult seq_ref;
     {
+      // One pass on the calling thread: no prepass ladder, which would
+      // route the reference through ParallelFaultSim.
       SeqFaultSim serial(nl);
-      SeqFsimOptions so = o;
+      FaultSimOptions so = o;
       so.num_threads = 1;
+      so.prepass_cycles = 0;
       const Timing t = timeRepeats(
-          repeats, [&] { seq_ref = serial.run(u.faults, stim, so); });
+          repeats, [&] { seq_ref = serial.run(u.faults, patterns, so); });
       rows.push_back(
           {"seq-serial", 1, 0, t, u.faults.size(), cycles, seq_ref.detected});
       printRow(rows.back());

@@ -59,12 +59,13 @@ void BM_SeqFaultSimControlUnit(benchmark::State& state) {
   BistEngine engine;
   const int m = engine.attachModule(nl);
   const auto stim = engine.stimulus(m, 512);
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
   SeqFaultSim fsim(nl);
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = 512;
   o.num_threads = 1;
   for (auto _ : state) {
-    const auto r = fsim.run(u.faults, stim, o);
+    const auto r = fsim.run(u.faults, patterns, o);
     benchmark::DoNotOptimize(r.detected);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

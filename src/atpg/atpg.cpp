@@ -363,10 +363,10 @@ SeqAtpgResult runSequentialAtpg(const Netlist& module,
   res.total_faults = faults.size();
 
   // The candidate sequences below pack one cycle per 64-bit word (bit j
-  // drives PI j), the format SeqFaultSim::run(faults, words, opts)
-  // broadcasts. The shared packed-stimulus hazard rule
-  // (analyze/hazards.hpp, the same limit the structural linter reports)
-  // rejects modules whose PI count the `1 << j` shift cannot carry.
+  // drives PI j), the CyclePatternSource format SeqFaultSim broadcasts.
+  // The shared packed-stimulus hazard rule (analyze/hazards.hpp, the same
+  // limit the structural linter reports) rejects modules whose PI count
+  // the `1 << j` shift cannot carry.
   requirePackedStimulusWidth(module, "runSequentialAtpg");
   const std::size_t n_inputs = module.primaryInputs().size();
   SeqFaultSim fsim(module);
@@ -396,11 +396,12 @@ SeqAtpgResult runSequentialAtpg(const Netlist& module,
       }
       seq[static_cast<std::size_t>(c)] = cur;
     }
-    SeqFsimOptions fopts;
+    FaultSimOptions fopts;
     fopts.cycles = opts.sequence_cycles;
     fopts.prepass_cycles = 256;
     fopts.num_threads = opts.num_threads;
-    const SeqFsimResult r = fsim.run(faults, seq, fopts);
+    const FaultSimResult r =
+        fsim.run(faults, CyclePatternSource(seq, n_inputs), fopts);
     if (r.detected > res.detected) {
       res.detected = r.detected;
       res.best_sequence = std::move(seq);

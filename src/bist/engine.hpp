@@ -149,9 +149,11 @@ class BistEngine {
 
   /// Signature-qualification coverage of module `m`: fault-simulates
   /// `faults` under the BIST stimulus with the module's MISR compaction
-  /// model attached, on `num_threads` workers (0 => hardware concurrency)
-  /// of the requested backend (worker threads by default; kSerial grades
-  /// on one sequential engine and ignores num_threads). `misr_detect`
+  /// model attached. kThreaded (the default) grades on `num_threads`
+  /// ParallelFaultSim workers (0 => hardware concurrency). kSerial ignores
+  /// num_threads and runs a bare SeqFaultSim with default options, which
+  /// grades on FaultSimOptions::num_threads (2) ParallelFaultSim workers.
+  /// `misr_detect`
   /// tells which faults the signature actually catches (the coverage minus
   /// aliasing losses).
   [[nodiscard]] FaultSimResult signatureCoverage(

@@ -1,12 +1,12 @@
 // Structured campaign results for the SoC session layer.
 //
-// Replaces the ad-hoc CoreTestReport: per-core verdicts distinguish a
-// signature mismatch from a status-poll timeout, retry/poll/TCK/at-speed
-// accounting is explicit, and whole-campaign reports serialize to JSON
-// (bench_soc -> BENCH_soc.json, CI artifact). Everything in a report except
-// wall-clock timing is a deterministic function of (SoC state, TestPlan);
-// fingerprint() serializes exactly that subset, which is how the scheduler
-// tests prove sharded and serial campaigns byte-identical.
+// Per-core verdicts distinguish a signature mismatch from a status-poll
+// timeout, retry/poll/TCK/at-speed accounting is explicit, and
+// whole-campaign reports serialize to JSON (bench_soc -> BENCH_soc.json,
+// CI artifact). Everything in a report except wall-clock timing is a
+// deterministic function of (SoC state, TestPlan); fingerprint() serializes
+// exactly that subset, which is how the scheduler tests prove sharded and
+// serial campaigns byte-identical.
 #ifndef COREBIST_CORE_SESSION_REPORT_HPP_
 #define COREBIST_CORE_SESSION_REPORT_HPP_
 

@@ -58,8 +58,8 @@ struct CorePlan {
   /// At-speed patterns per attempt (1 .. the core's counter capacity).
   int patterns = 0;  // <= 0 => plan default
   /// Run-Test/Idle TCKs before the first status poll; < 0 => patterns + 4
-  /// (enough for the whole run, the legacy session behavior). Smaller
-  /// budgets make the poll loop — and the timeout machinery — do real work.
+  /// (enough for the whole run). Smaller budgets make the poll loop — and
+  /// the timeout machinery — do real work.
   int warmup_idle = -1;
   /// Status polls before an attempt is declared timed out.
   int poll_budget = 0;  // <= 0 => plan default

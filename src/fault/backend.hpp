@@ -4,7 +4,10 @@
 // grading, the SoC scheduler's coverage probes, the benches) picks its
 // execution backend per campaign instead of hard-coding an engine class:
 //
-//   kSerial    - the prototype engine itself (one process, one thread)
+//   kSerial    - the prototype engine itself, unwrapped. One thread for the
+//                comb engine; a SeqFaultSim prototype still hands
+//                FaultSimOptions::num_threads > 1 (default 2) or a stage
+//                ladder to ParallelFaultSim on its own
 //   kThreaded  - ParallelFaultSim fault sharding across worker threads
 //
 // Orthogonally, makeCombFaultSim() picks the lane width of the PPSFP kernel
@@ -36,7 +39,7 @@ struct FsimBackendOptions {
   /// default kLaneWords. Only meaningful for makeCombFaultSim.
   int lane_words = 0;
   /// Worker threads for kThreaded; 0 => one per hardware thread. Ignored
-  /// by kSerial.
+  /// by kSerial (a sequential engine reads FaultSimOptions::num_threads).
   int num_workers = 0;
   /// Faults per work unit for kThreaded.
   int shard_faults = 63;

@@ -106,9 +106,18 @@ struct FaultSimOptions {
   /// Sequential engines apply one pattern per clock, so this is also the
   /// cycle count.
   int cycles = 4096;
-  int prepass_cycles = 256;  // 0 disables the two-pass schedule
+  /// First stage of ParallelFaultSim's geometric ladder (prepass, x4, ...,
+  /// cycles) for dropping campaigns without window / MISR / dictionary
+  /// records; 0 or >= cycles runs one full-length stage. A bare
+  /// SeqFaultSim asked for a ladder runs it through ParallelFaultSim;
+  /// CombFaultSim ignores it.
+  int prepass_cycles = 256;
   bool drop_detected = true;
-  int num_threads = 2;  // engine-internal workers (orchestrators pin to 1)
+  /// Worker threads of a bare SeqFaultSim: > 1 runs the campaign through
+  /// ParallelFaultSim with that many workers; 0 and 1 grade on the calling
+  /// thread. CombFaultSim ignores it, and ParallelFaultSim pins its
+  /// workers to 1.
+  int num_threads = 2;
   /// >0: record a per-window detection mask per fault (diagnosis syndromes);
   /// implies full-length simulation of every fault.
   int windows = 0;

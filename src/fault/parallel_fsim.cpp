@@ -9,6 +9,12 @@
 
 namespace corebist {
 
+bool runsStageLadder(const FaultSimOptions& opts, int cycles) {
+  return opts.drop_detected && opts.windows == 0 && !opts.misr.has_value() &&
+         opts.record_detections == 0 && opts.prepass_cycles > 0 &&
+         opts.prepass_cycles < cycles;
+}
+
 ParallelFaultSim::ParallelFaultSim(const FaultSim& prototype,
                                    ParallelFsimOptions popts)
     : proto_(prototype.clone()), popts_(popts) {
@@ -54,13 +60,10 @@ FaultSimResult ParallelFaultSim::run(std::span<const Fault> faults,
   }
   if (want_record) result.detect_patterns.assign(faults.size(), {});
 
-  // Windowed / MISR / dictionary records need every fault run full-length;
-  // otherwise fault dropping allows the staged ladder, whose short early
-  // stages retire the easy majority before anyone pays full price.
-  const bool full_length = want_windows || want_misr || want_record;
+  // The staged ladder's short early stages retire the easy majority of
+  // faults before anyone pays full price.
   std::vector<int> stages;
-  if (!full_length && opts.drop_detected && opts.prepass_cycles > 0 &&
-      opts.prepass_cycles < total_cycles) {
+  if (runsStageLadder(opts, total_cycles)) {
     for (int c = opts.prepass_cycles; c < total_cycles; c *= 4) {
       stages.push_back(c);
     }

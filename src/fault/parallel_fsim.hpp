@@ -32,6 +32,11 @@ struct ParallelFsimOptions {
   int shard_faults = 63;
 };
 
+/// Whether a campaign of `cycles` patterns runs as the stage ladder:
+/// dropping on, no window / MISR / dictionary records (those need every
+/// fault run full-length), and 0 < prepass_cycles < cycles.
+[[nodiscard]] bool runsStageLadder(const FaultSimOptions& opts, int cycles);
+
 class ParallelFaultSim final : public FaultSim {
  public:
   /// Clones `prototype` once per worker thread at run time; the prototype

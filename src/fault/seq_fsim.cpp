@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <future>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 
+#include "fault/parallel_fsim.hpp"
 #include "netlist/levelize.hpp"
 #include "sim/comb_sim.hpp"
 
@@ -280,12 +281,11 @@ struct RunContext {
 
 /// Grades one group into `result`'s per-fault rows and, when the MISR is
 /// modelled, adds the group's per-cycle MISR-difference counts into
-/// `misr_curve` (the caller's per-worker accumulator).
-void simulateGroup(const RunContext& ctx, const SeqFsimOptions& opts,
+/// `result.misr_curve`.
+void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
                    std::span<const Fault> faults,
                    std::span<const std::uint32_t> members,
-                   GroupScratch& scratch, SeqFsimResult& result,
-                   std::span<std::uint32_t> misr_curve) {
+                   GroupScratch& scratch, FaultSimResult& result) {
   const Topology& topo = *ctx.topo;
   const int cycles = opts.cycles;
   const bool want_windows = opts.windows > 0;
@@ -487,8 +487,8 @@ void simulateGroup(const RunContext& ctx, const SeqFsimOptions& opts,
         s[static_cast<std::size_t>(j)] = tap;
         differs |= tap ^ goodLane(tap);
       }
-      misr_curve[static_cast<std::size_t>(cycle)] += static_cast<std::uint32_t>(
-          std::popcount(differs & group_mask));
+      result.misr_curve[static_cast<std::size_t>(cycle)] +=
+          static_cast<std::uint32_t>(std::popcount(differs & group_mask));
     }
 
     // Window-boundary MISR read-out (signature syndrome capture).
@@ -598,134 +598,6 @@ std::shared_ptr<const GoodTrace> SeqFaultSim::goodTrace(
   return memo_->last;
 }
 
-SeqFsimResult SeqFaultSim::run(std::span<const Fault> faults,
-                               std::span<const std::uint64_t> stimulus,
-                               const SeqFsimOptions& opts) const {
-  if (static_cast<int>(stimulus.size()) < opts.cycles) {
-    throw std::invalid_argument("SeqFaultSim: stimulus shorter than cycles");
-  }
-  requireWindowCount(opts.windows, "SeqFaultSim");
-
-  SeqFsimResult result;
-  result.total = faults.size();
-  result.first_detect.assign(faults.size(), -1);
-  if (opts.windows > 0) result.window_mask.assign(faults.size(), 0);
-  if (opts.misr) {
-    result.misr_detect.assign(faults.size(), 0);
-    result.misr_curve.assign(static_cast<std::size_t>(opts.cycles), 0);
-  }
-  if (opts.windows > 0 && opts.misr) {
-    result.sig_words_per_fault = (opts.windows * opts.misr->width + 63) / 64;
-    result.window_sig.assign(
-        faults.size() * static_cast<std::size_t>(result.sig_words_per_fault),
-        0);
-  }
-
-  std::shared_ptr<const GoodTrace> trace;
-  if (!faults.empty() && opts.cycles > 0) {
-    trace = goodTrace(stimulus, opts.cycles);
-  }
-  RunContext ctx;
-  ctx.nl = &nl_;
-  ctx.topo = topo_.get();
-  ctx.trace = trace.get();
-  for (const NetId n : opts.observe.empty() ? nl_.primaryOutputs()
-                                            : opts.observe) {
-    ctx.observe.push_back(topo_->slot_of[n]);
-  }
-  if (opts.misr) {
-    for (const auto& feeds : opts.misr->feeds) {
-      auto& slots = ctx.misr_feeds.emplace_back();
-      for (const NetId n : feeds) slots.push_back(topo_->slot_of[n]);
-    }
-  }
-
-  const bool full_length = opts.windows > 0 || opts.misr.has_value();
-
-  auto runPass = [&](std::span<const std::uint32_t> indices, int cycles) {
-    SeqFsimOptions pass_opts = opts;
-    pass_opts.cycles = cycles;
-    const int nthreads = std::max(1, opts.num_threads);
-    // Chunk into groups of 63 machines.
-    std::vector<std::span<const std::uint32_t>> groups;
-    for (std::size_t at = 0; at < indices.size(); at += 63) {
-      groups.push_back(indices.subspan(at, std::min<std::size_t>(
-                                               63, indices.size() - at)));
-    }
-    // Per-worker MISR curves, summed after the join (integer sums, so the
-    // total does not depend on which worker took which group).
-    std::vector<std::vector<std::uint32_t>> curves(
-        static_cast<std::size_t>(nthreads),
-        std::vector<std::uint32_t>(result.misr_curve.size(), 0));
-    auto worker = [&](int tid) {
-      GroupScratch scratch;
-      scratch.diff.assign(topo_->slots(), 0);
-      scratch.val.assign(topo_->slots(), 0);
-      scratch.pending.assign((topo_->gates.size() + 63) / 64, 0);
-      for (std::size_t g = static_cast<std::size_t>(tid); g < groups.size();
-           g += static_cast<std::size_t>(nthreads)) {
-        simulateGroup(ctx, pass_opts, faults, groups[g], scratch, result,
-                      curves[static_cast<std::size_t>(tid)]);
-      }
-    };
-    std::vector<std::future<void>> futs;
-    for (int t = 1; t < nthreads; ++t) {
-      futs.push_back(std::async(std::launch::async, worker, t));
-    }
-    worker(0);
-    for (auto& f : futs) f.get();
-    for (const auto& curve : curves) {
-      for (std::size_t c = 0; c < curve.size(); ++c) {
-        result.misr_curve[c] += curve[c];
-      }
-    }
-  };
-
-  std::vector<std::uint32_t> all(faults.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<std::uint32_t>(i);
-
-  if (!full_length && opts.prepass_cycles > 0 &&
-      opts.prepass_cycles < opts.cycles && opts.drop_detected) {
-    // Geometric prepass ladder: each stage re-groups the survivors densely,
-    // so the expensive full-length pass only sees the hard tail.
-    std::vector<int> stages;
-    for (int c = opts.prepass_cycles; c < opts.cycles; c *= 4) {
-      stages.push_back(c);
-    }
-    stages.push_back(opts.cycles);
-    std::vector<std::uint32_t> live = std::move(all);
-    for (const int cycles : stages) {
-      runPass(live, cycles);
-      std::vector<std::uint32_t> survivors;
-      for (const std::uint32_t i : live) {
-        if (result.first_detect[i] < 0) survivors.push_back(i);
-      }
-      live = std::move(survivors);
-      if (live.empty()) break;
-    }
-  } else {
-    runPass(all, opts.cycles);
-  }
-
-  result.detected = 0;
-  for (const auto fd : result.first_detect) {
-    if (fd >= 0) ++result.detected;
-  }
-  result.patterns_applied = static_cast<std::size_t>(opts.cycles);
-  // Sequential machines latch only the first divergence; dictionary
-  // consumers get a one-entry list per detected fault.
-  if (opts.record_detections > 0) {
-    result.detect_patterns.assign(faults.size(), {});
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (result.first_detect[i] >= 0) {
-        result.detect_patterns[i].push_back(
-            static_cast<std::uint32_t>(result.first_detect[i]));
-      }
-    }
-  }
-  return result;
-}
-
 FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
                                 const PatternSource& patterns,
                                 const FaultSimOptions& opts) {
@@ -735,38 +607,86 @@ FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
         "(full-scan) notion; sequential stimulus launches transitions "
         "between consecutive cycles");
   }
-  FaultSimOptions o = opts;
-  o.cycles = opts.cycles > 0 ? opts.cycles : patterns.patternCount();
-  o.stall_blocks = 0;  // stall exits are a combinational-campaign notion
-
-  const auto packed = patterns.packedWords();
-  if (!packed.empty()) {
-    return run(faults, packed, o);
+  const int cycles = opts.cycles > 0 ? opts.cycles : patterns.patternCount();
+  if (opts.num_threads > 1 || runsStageLadder(opts, cycles)) {
+    // Worker threads and the stage ladder belong to ParallelFaultSim,
+    // whose workers call back in here with one thread and no prepass.
+    return ParallelFaultSim(*this, {std::max(1, opts.num_threads)})
+        .run(faults, patterns, opts);
   }
-  if (patterns.width() > 64) {
+  requireWindowCount(opts.windows, "SeqFaultSim");
+  const std::span<const std::uint64_t> stimulus = patterns.packedWords();
+  if (static_cast<int>(stimulus.size()) < cycles) {
     throw std::invalid_argument(
-        "SeqFaultSim: pattern source wider than 64 inputs; pack the "
-        "stimulus differently");
+        stimulus.empty() ? "SeqFaultSim: the pattern source serves no packed "
+                           "per-cycle words; use a CyclePatternSource"
+                         : "SeqFaultSim: stimulus shorter than cycles");
   }
-  if (o.cycles > patterns.patternCount()) {
-    throw std::invalid_argument("SeqFaultSim: stimulus shorter than cycles");
+  FaultSimOptions o = opts;
+  o.cycles = cycles;
+
+  FaultSimResult result;
+  result.total = faults.size();
+  result.first_detect.assign(faults.size(), -1);
+  if (o.windows > 0) result.window_mask.assign(faults.size(), 0);
+  if (o.misr) {
+    result.misr_detect.assign(faults.size(), 0);
+    result.misr_curve.assign(static_cast<std::size_t>(cycles), 0);
   }
-  // Transpose PPSFP blocks into the per-cycle word stream the fault-parallel
-  // kernel broadcasts.
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(o.cycles), 0);
-  PatternBlock block;
-  for (int start = 0; start < o.cycles; start += 64) {
-    patterns.fill(start, block);
-    const int n = std::min(block.clampedCount(), o.cycles - start);
-    for (int k = 0; k < n; ++k) {
-      std::uint64_t w = 0;
-      for (std::size_t j = 0; j < block.inputs.size(); ++j) {
-        w |= ((block.inputs[j] >> k) & 1u) << j;
-      }
-      words[static_cast<std::size_t>(start + k)] = w;
+  if (o.windows > 0 && o.misr) {
+    result.sig_words_per_fault = (o.windows * o.misr->width + 63) / 64;
+    result.window_sig.assign(
+        faults.size() * static_cast<std::size_t>(result.sig_words_per_fault),
+        0);
+  }
+
+  std::shared_ptr<const GoodTrace> trace;
+  if (!faults.empty() && cycles > 0) trace = goodTrace(stimulus, cycles);
+  RunContext ctx;
+  ctx.nl = &nl_;
+  ctx.topo = topo_.get();
+  ctx.trace = trace.get();
+  for (const NetId n : o.observe.empty() ? nl_.primaryOutputs() : o.observe) {
+    ctx.observe.push_back(topo_->slot_of[n]);
+  }
+  if (o.misr) {
+    for (const auto& feeds : o.misr->feeds) {
+      auto& slots = ctx.misr_feeds.emplace_back();
+      for (const NetId n : feeds) slots.push_back(topo_->slot_of[n]);
     }
   }
-  return run(faults, words, o);
+
+  // One pass over every fault, 63 machines per group.
+  GroupScratch scratch;
+  scratch.diff.assign(topo_->slots(), 0);
+  scratch.val.assign(topo_->slots(), 0);
+  scratch.pending.assign((topo_->gates.size() + 63) / 64, 0);
+  std::vector<std::uint32_t> all(faults.size());
+  std::iota(all.begin(), all.end(), 0u);
+  const std::span<const std::uint32_t> members(all);
+  for (std::size_t at = 0; at < members.size(); at += 63) {
+    simulateGroup(ctx, o, faults,
+                  members.subspan(at, std::min<std::size_t>(
+                                          63, members.size() - at)),
+                  scratch, result);
+  }
+
+  for (const auto fd : result.first_detect) {
+    if (fd >= 0) ++result.detected;
+  }
+  result.patterns_applied = static_cast<std::size_t>(cycles);
+  // Sequential machines latch only the first divergence; dictionary
+  // consumers get a one-entry list per detected fault.
+  if (o.record_detections > 0) {
+    result.detect_patterns.assign(faults.size(), {});
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (result.first_detect[i] >= 0) {
+        result.detect_patterns[i].push_back(
+            static_cast<std::uint32_t>(result.first_detect[i]));
+      }
+    }
+  }
+  return result;
 }
 
 std::unique_ptr<FaultSim> SeqFaultSim::clone() const {

@@ -27,15 +27,19 @@
 //   slow-to-rise:  cur AND prev     slow-to-fall:  cur OR prev
 // of the machine's own raw site value across consecutive cycles.
 //
-// Two-pass scheduling: a short prepass drops the easy majority of faults,
-// survivors are regrouped densely and re-run for the full pattern budget.
+// One entry point, FaultSim::run, over a source that serves packed per-cycle
+// words (CyclePatternSource); other sources throw std::invalid_argument. By
+// default it grades every fault in one pass on the calling thread. Worker
+// threads (num_threads > 1) and the prepass stage ladder belong to
+// ParallelFaultSim (fault/parallel_fsim.hpp): a campaign asking for either
+// is handed to it, and its workers call back in with one thread and no
+// prepass.
 #ifndef COREBIST_FAULT_SEQ_FSIM_HPP_
 #define COREBIST_FAULT_SEQ_FSIM_HPP_
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "fault/fault.hpp"
 #include "fault/fault_sim.hpp"
@@ -49,24 +53,14 @@ struct GoodTrace;
 struct TraceMemo;
 }  // namespace seq_detail
 
-/// The option/result records live with the common interface; these aliases
-/// keep the sequential engine's historical names working.
-using SeqFsimOptions = FaultSimOptions;
-using SeqFsimResult = FaultSimResult;
-
 class SeqFaultSim final : public FaultSim {
  public:
   explicit SeqFaultSim(const Netlist& nl);
 
-  /// Run `faults` against `stimulus` (stimulus[c] bit j drives the j-th
-  /// primary input at cycle c; requires <= 64 primary inputs).
-  [[nodiscard]] SeqFsimResult run(std::span<const Fault> faults,
-                                  std::span<const std::uint64_t> stimulus,
-                                  const SeqFsimOptions& opts) const;
-
-  /// Campaign entry point (FaultSim): uses the source's packed per-cycle
-  /// words directly when available, otherwise transposes blocks into the
-  /// per-cycle stream (requires width <= 64).
+  /// Grade `faults` against the source's packed per-cycle words (word c
+  /// bit j drives primary input j at cycle c). num_threads > 1, or a
+  /// campaign that runsStageLadder(), runs through ParallelFaultSim with
+  /// max(1, num_threads) workers; otherwise one pass on the calling thread.
   [[nodiscard]] FaultSimResult run(std::span<const Fault> faults,
                                    const PatternSource& patterns,
                                    const FaultSimOptions& opts) override;

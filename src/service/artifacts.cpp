@@ -149,17 +149,20 @@ const LintReport& ArtifactStore::lint(const WrappedCore& core, int m) {
   return a.lint;
 }
 
+bool ArtifactStore::buildFaults(ModuleArtifacts& a, const WrappedCore& core,
+                                int m) {
+  if (a.faults_done) return false;
+  a.faults = enumerateStuckAt(core.engine().module(m)).faults;
+  a.faults_done = true;
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
 std::span<const Fault> ArtifactStore::stuckAtFaults(const WrappedCore& core,
                                                     int m) {
   ModuleArtifacts& a = bundleFor(core, m);
   const std::lock_guard<std::mutex> lock(a.mu);
-  if (a.faults_done) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    a.faults = enumerateStuckAt(core.engine().module(m)).faults;
-    a.faults_done = true;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!buildFaults(a, core, m)) hits_.fetch_add(1, std::memory_order_relaxed);
   return a.faults;
 }
 
@@ -186,33 +189,23 @@ double ArtifactStore::signatureCoverage(const WrappedCore& core, int m,
   requireBudget(core, patterns);
   ModuleArtifacts& a = bundleFor(core, m);
   const auto n = static_cast<std::size_t>(patterns);
-  const auto answer = [&] {
-    return FaultSimResult::percent(a.misr_curve[n - 1], a.faults.size());
-  };
-  // Fault enumeration goes through the cache too (its own hit/miss), but
-  // only when the coverage value itself is a miss.
-  {
-    const std::lock_guard<std::mutex> lock(a.mu);
-    if (a.misr_curve.size() >= n) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return answer();
-    }
-  }
-  const std::span<const Fault> faults = stuckAtFaults(core, m);
   const std::lock_guard<std::mutex> lock(a.mu);
-  if (a.misr_curve.size() >= n) {  // raced compute: reuse theirs
+  if (a.misr_curve.size() >= n) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return answer();
+  } else {
+    // A miss reads the fault universe without counting a request for it;
+    // building it counts its own miss.
+    (void)buildFaults(a, core, m);
+    const BistEngine& engine = core.engine();
+    a.misr_curve =
+        engine
+            .signatureCoverage(
+                m, a.faults, engine.growLength(a.misr_curve.size(), patterns),
+                bopts)
+            .misr_curve;
+    misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  const BistEngine& engine = core.engine();
-  a.misr_curve =
-      engine
-          .signatureCoverage(m, faults,
-                             engine.growLength(a.misr_curve.size(), patterns),
-                             bopts)
-          .misr_curve;
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return answer();
+  return FaultSimResult::percent(a.misr_curve[n - 1], a.faults.size());
 }
 
 ArtifactStats ArtifactStore::stats() const {

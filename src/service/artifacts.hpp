@@ -73,7 +73,9 @@ namespace corebist {
 
 /// Cache-economy counters. `hits` / `misses` count product requests
 /// (lint, fault universe, golden signature, coverage) served from vs
-/// computed into the cache (a golden or coverage miss is one curve build);
+/// computed into the cache (a golden or coverage miss is one curve build;
+/// a coverage miss that also enumerates the fault universe counts that as
+/// one more miss, and store-internal reads count nothing);
 /// `modules_built` counts distinct artifact bundles constructed and
 /// `modules_shared` counts registrations that deduplicated onto an existing
 /// bundle via the content key.
@@ -136,6 +138,10 @@ class ArtifactStore {
   };
 
   ModuleArtifacts& bundleFor(const WrappedCore& core, int m);
+  /// Enumerates `a`'s fault universe unless it is already built (caller
+  /// holds a.mu); a build counts one miss, a reuse counts nothing. Returns
+  /// whether it built.
+  bool buildFaults(ModuleArtifacts& a, const WrappedCore& core, int m);
 
   mutable std::mutex mu_;  // guards the two registry maps
   std::unordered_map<std::uint64_t, std::shared_ptr<ModuleArtifacts>>

@@ -57,10 +57,11 @@ TEST(Diagnosis, WindowSyndromesSeparateFaults) {
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(256, 1);
   for (std::size_t c = 3; c < stim.size(); c += 5) stim[c] = 0;
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = 256;
   o.windows = 32;
-  const auto r = fsim.run(u.faults, stim, o);
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  const auto r = fsim.run(u.faults, patterns, o);
   const auto e = analyzeSyndromes(syndromesFromWindows(r.window_mask));
   EXPECT_GT(e.analyzed, u.faults.size() / 2);
   EXPECT_GT(e.num_classes, 4u);
@@ -73,11 +74,12 @@ TEST(Diagnosis, SignatureSyndromesAreFinerThanWindowMasks) {
   const int m = engine.attachModule(nl);
   const auto stim = engine.stimulus(m, 512);
   SeqFaultSim fsim(nl);
-  SeqFsimOptions o;
+  FaultSimOptions o;
   o.cycles = 512;
   o.windows = 32;
   o.misr = makeMisrSpec(nl.primaryOutputs(), 16);
-  const auto r = fsim.run(u.faults, stim, o);
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  const auto r = fsim.run(u.faults, patterns, o);
   const auto coarse = analyzeSyndromes(syndromesFromWindows(r.window_mask));
   std::vector<Syndrome> fine(u.faults.size());
   for (std::size_t i = 0; i < u.faults.size(); ++i) {

@@ -194,10 +194,11 @@ TEST(SeqFaultSim, DetectsCounterFaults) {
   // are exercised too.
   std::vector<std::uint64_t> stim(96, 1);
   for (std::size_t c = 5; c < stim.size(); c += 7) stim[c] = 0;
-  SeqFsimOptions opts;
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  FaultSimOptions opts;
   opts.cycles = 96;
   opts.prepass_cycles = 0;
-  const SeqFsimResult r = fsim.run(u.faults, stim, opts);
+  const FaultSimResult r = fsim.run(u.faults, patterns, opts);
   // A handful of faults around the tied-off clear path are structurally
   // untestable, so ~90 % is the ceiling here.
   EXPECT_GT(r.coverage(), 85.0);
@@ -211,14 +212,15 @@ TEST(SeqFaultSim, PrepassAndFullRunAgree) {
   std::mt19937_64 rng(5);
   std::vector<std::uint64_t> stim(256);
   for (auto& w : stim) w = rng() & 1u;
-  SeqFsimOptions with_prepass;
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  FaultSimOptions with_prepass;
   with_prepass.cycles = 256;
   with_prepass.prepass_cycles = 32;
-  SeqFsimOptions without;
+  FaultSimOptions without;
   without.cycles = 256;
   without.prepass_cycles = 0;
-  const auto r1 = fsim.run(u.faults, stim, with_prepass);
-  const auto r2 = fsim.run(u.faults, stim, without);
+  const auto r1 = fsim.run(u.faults, patterns, with_prepass);
+  const auto r2 = fsim.run(u.faults, patterns, without);
   ASSERT_EQ(r1.first_detect.size(), r2.first_detect.size());
   for (std::size_t i = 0; i < r1.first_detect.size(); ++i) {
     EXPECT_EQ(r1.first_detect[i], r2.first_detect[i])
@@ -232,10 +234,11 @@ TEST(SeqFaultSim, StuckEnableNeverCounts) {
   const Fault f{nl.primaryInputs()[0], Fault::kNoGate, 0, FaultKind::kSa0};
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(16, 1);
-  SeqFsimOptions opts;
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  FaultSimOptions opts;
   opts.cycles = 16;
   opts.prepass_cycles = 0;
-  const auto r = fsim.run(std::span<const Fault>(&f, 1), stim, opts);
+  const auto r = fsim.run(std::span<const Fault>(&f, 1), patterns, opts);
   ASSERT_EQ(r.first_detect.size(), 1u);
   // Good machine shows q=1 after the first edge; faulty stays 0. The diff
   // is visible from cycle 1 on.
@@ -248,11 +251,12 @@ TEST(SeqFaultSim, TransitionFaultSlowerThanStuck) {
   const auto tdf = toTransitionFaults(u.faults);
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(128, 1);
-  SeqFsimOptions opts;
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  FaultSimOptions opts;
   opts.cycles = 128;
   opts.prepass_cycles = 0;
-  const auto rs = fsim.run(u.faults, stim, opts);
-  const auto rt = fsim.run(tdf, stim, opts);
+  const auto rs = fsim.run(u.faults, patterns, opts);
+  const auto rt = fsim.run(tdf, patterns, opts);
   // Transition faults need an activation edge on top of propagation, so
   // coverage can only be <= the stuck-at coverage on this stimulus.
   EXPECT_LE(rt.detected, rs.detected);
@@ -264,10 +268,11 @@ TEST(SeqFaultSim, WindowMaskMarksDetectionWindows) {
   const Fault f{nl.primaryInputs()[0], Fault::kNoGate, 0, FaultKind::kSa0};
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(64, 1);
-  SeqFsimOptions opts;
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  FaultSimOptions opts;
   opts.cycles = 64;
   opts.windows = 8;
-  const auto r = fsim.run(std::span<const Fault>(&f, 1), stim, opts);
+  const auto r = fsim.run(std::span<const Fault>(&f, 1), patterns, opts);
   ASSERT_EQ(r.window_mask.size(), 1u);
   // The stuck enable diverges in (almost) every window.
   EXPECT_GE(std::popcount(r.window_mask[0]), 7);
@@ -278,7 +283,8 @@ TEST(SeqFaultSim, MisrDetectionTracksOutputDetection) {
   const FaultUniverse u = enumerateStuckAt(nl);
   SeqFaultSim fsim(nl);
   std::vector<std::uint64_t> stim(128, 1);
-  SeqFsimOptions opts;
+  const CyclePatternSource patterns(stim, nl.primaryInputs().size());
+  FaultSimOptions opts;
   opts.cycles = 128;
   opts.prepass_cycles = 0;
   MisrSpec misr;
@@ -291,7 +297,7 @@ TEST(SeqFaultSim, MisrDetectionTracksOutputDetection) {
     misr.feeds[i % 16].push_back(pos[i]);
   }
   opts.misr = misr;
-  const auto r = fsim.run(u.faults, stim, opts);
+  const auto r = fsim.run(u.faults, patterns, opts);
   std::size_t misr_detected = 0;
   for (std::size_t i = 0; i < u.faults.size(); ++i) {
     if (r.misr_detect[i]) {
@@ -303,6 +309,31 @@ TEST(SeqFaultSim, MisrDetectionTracksOutputDetection) {
   // Aliasing is possible but rare: expect nearly all detected faults to
   // also differ in the MISR.
   EXPECT_GE(misr_detected + 2, r.detected);
+}
+
+TEST(SeqFaultSim, SourcesWithoutPackedWordsThrow) {
+  // The engine broadcasts packed per-cycle words; a source that serves only
+  // PPSFP blocks is rejected, on the bare engine's own pass and when the
+  // engine hands the campaign to ParallelFaultSim.
+  const Netlist nl = makeCounterCircuit();
+  const FaultUniverse u = enumerateStuckAt(nl);
+  const RandomPatternSource random(7, nl.primaryInputs().size(), 128);
+  SeqFaultSim fsim(nl);
+  FaultSimOptions single;
+  single.cycles = 128;
+  single.prepass_cycles = 0;
+  single.num_threads = 1;
+  FaultSimOptions threaded = single;
+  threaded.num_threads = 2;
+  for (const FaultSimOptions* opts : {&single, &threaded}) {
+    EXPECT_THROW((void)fsim.run(u.faults, random, *opts),
+                 std::invalid_argument);
+  }
+  // Packed words shorter than the budget are rejected as well.
+  const std::vector<std::uint64_t> stim(64, 1);
+  const CyclePatternSource short_stim(stim, nl.primaryInputs().size());
+  EXPECT_THROW((void)fsim.run(u.faults, short_stim, single),
+               std::invalid_argument);
 }
 
 TEST(FaultSimWindows, WindowCountsAbove64ThrowOnEveryEngine) {
@@ -317,6 +348,7 @@ TEST(FaultSimWindows, WindowCountsAbove64ThrowOnEveryEngine) {
   const RandomPatternSource patterns(3, comb_nl.primaryInputs().size(), 128);
   FaultSimOptions opts;
   opts.cycles = 128;
+  opts.num_threads = 1;  // the bare engine checks windows itself
 
   SeqFaultSim seq(seq_nl);
   ParallelFaultSim par_seq(SeqFaultSim{seq_nl}, ParallelFsimOptions{2, 63});
@@ -325,7 +357,7 @@ TEST(FaultSimWindows, WindowCountsAbove64ThrowOnEveryEngine) {
   ParallelFaultSim par_comb(comb, ParallelFsimOptions{2, 63});
   for (const int bad : {65, -1}) {
     opts.windows = bad;
-    EXPECT_THROW((void)seq.run(su.faults, stim, opts), std::invalid_argument);
+    EXPECT_THROW((void)seq.run(su.faults, cycles, opts), std::invalid_argument);
     EXPECT_THROW((void)par_seq.run(su.faults, cycles, opts),
                  std::invalid_argument);
     EXPECT_THROW((void)comb.run(cu.faults, patterns, opts),
@@ -341,7 +373,7 @@ TEST(FaultSimWindows, WindowCountsAbove64ThrowOnEveryEngine) {
     return std::any_of(r.window_mask.begin(), r.window_mask.end(),
                        [](std::uint64_t m) { return (m >> 63) != 0; });
   };
-  const auto rs = seq.run(su.faults, stim, opts);
+  const auto rs = seq.run(su.faults, cycles, opts);
   EXPECT_EQ(par_seq.run(su.faults, cycles, opts).window_mask, rs.window_mask);
   EXPECT_TRUE(has_top(rs));
   const auto rc = comb.run(cu.faults, patterns, opts);

@@ -323,15 +323,17 @@ TEST(SocSession, MultiCoreSelectionIsIndependent) {
 
 TEST(SocSession, LdpcControlUnitEndToEnd) {
   // End-to-end through the real CONTROL_UNIT netlist (42 flops, Table 1),
-  // driven through the legacy SocTestSession shim so the compatibility
-  // surface stays exercised.
+  // driven through the scheduler's blocking one-core call.
   Soc soc;
   auto core = std::make_unique<WrappedCore>("ldpc_cu");
   core->addModule(ldpc::buildControlUnit());
   const int idx = soc.attachCore(std::move(core));
-  SocTestSession session(soc);
-  const CoreTestReport report = session.testCore(idx, 512);
-  EXPECT_TRUE(report.pass) << report.summary();
+  SocTestScheduler scheduler(soc);
+  CorePlan plan;
+  plan.core_index = idx;
+  plan.patterns = 512;
+  const CoreReport report = scheduler.testCore(plan);
+  EXPECT_TRUE(report.pass()) << report.summary();
 }
 
 }  // namespace

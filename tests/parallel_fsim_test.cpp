@@ -104,13 +104,16 @@ TEST_P(ParallelEquivalence, SeqShardsMatchSerialByteForByte) {
   const CyclePatternSource patterns(stim, nl.primaryInputs().size());
 
   for (const bool drop : {true, false}) {
-    SeqFsimOptions opts;
+    FaultSimOptions opts;
     opts.cycles = static_cast<int>(stim.size());
     opts.prepass_cycles = 32;
     opts.drop_detected = drop;
     opts.num_threads = 1;
-    const SeqFaultSim serial(nl);
-    const SeqFsimResult ref = serial.run(u.faults, stim, opts);
+    // The reference is the bare engine's own single pass, not a ladder
+    // routed through the ParallelFaultSim under test.
+    FaultSimOptions single = opts;
+    single.prepass_cycles = 0;
+    const FaultSimResult ref = SeqFaultSim(nl).run(u.faults, patterns, single);
 
     for (const int threads : {1, 4, 8}) {
       ParallelFsimOptions popts;
@@ -168,12 +171,13 @@ TEST_P(ParallelEquivalence, WindowedMisrRecordsMatchSerial) {
     misr.feeds[i % 12].push_back(pos[i]);
   }
 
-  SeqFsimOptions opts;
+  FaultSimOptions opts;
   opts.cycles = 128;
   opts.windows = 16;
   opts.misr = misr;
-  const SeqFaultSim serial(nl);
-  const SeqFsimResult ref = serial.run(u.faults, stim, opts);
+  FaultSimOptions single = opts;
+  single.num_threads = 1;  // the bare engine's own pass
+  const FaultSimResult ref = SeqFaultSim(nl).run(u.faults, patterns, single);
 
   ParallelFsimOptions popts;
   popts.num_threads = 4;
@@ -223,6 +227,7 @@ TEST_P(ParallelEquivalence, SeqKernelMatchesSweepReference) {
     }
     for (const Fault& f : toTransitionFaults(faults)) faults.push_back(f);
     const auto stim = randomStimulus(GetParam() ^ 0x5EE9, 160, 8);
+    const CyclePatternSource patterns(stim, nl.primaryInputs().size());
 
     MisrSpec misr;
     misr.width = 9;
@@ -233,24 +238,37 @@ TEST_P(ParallelEquivalence, SeqKernelMatchesSweepReference) {
       misr.feeds[i % 9].push_back(pos[i]);
     }
 
-    SeqFsimOptions drop;
+    FaultSimOptions drop;
     drop.cycles = 160;
-    drop.prepass_cycles = 16;
-    drop.num_threads = 2;
-    SeqFsimOptions no_drop = drop;
+    FaultSimOptions no_drop = drop;
     no_drop.drop_detected = false;
-    SeqFsimOptions records = drop;
+    FaultSimOptions signature = drop;  // MISR without windows: no ladder
+    signature.misr = misr;
+    FaultSimOptions records = signature;
     records.windows = 20;
-    records.misr = misr;
-    SeqFsimOptions observed = drop;  // first-K records at internal points
+    FaultSimOptions observed = drop;  // first-K records at internal points
     observed.record_detections = 3;
     observed.observe = {pos[0], nl.dffs()[0].d, nl.dffs()[1].q};
 
-    for (const SeqFsimOptions* opts : {&drop, &no_drop, &records, &observed}) {
+    // A bare engine runs its own single pass at 0 or 1 threads without a
+    // prepass, and hands 3 threads or a ladder to ParallelFaultSim; every
+    // route must reproduce the reference, and the MISR curve of the first.
+    for (const FaultSimOptions* opts :
+         {&drop, &no_drop, &signature, &records, &observed}) {
       const FaultSimResult want =
           testref::sweepReferenceRun(nl, faults, stim, *opts);
-      expectSameRecords(SeqFaultSim(nl).run(faults, stim, *opts), want,
-                        "gated kernel vs sweep reference");
+      std::vector<std::uint32_t> curve;
+      for (const int threads : {0, 1, 3}) {
+        for (const int prepass : {0, 16}) {
+          FaultSimOptions o = *opts;
+          o.num_threads = threads;
+          o.prepass_cycles = prepass;
+          const FaultSimResult got = SeqFaultSim(nl).run(faults, patterns, o);
+          expectSameRecords(got, want, "gated kernel vs sweep reference");
+          if (threads == 0 && prepass == 0) curve = got.misr_curve;
+          EXPECT_EQ(got.misr_curve, curve);
+        }
+      }
     }
     EXPECT_EQ(SignatureProgram(nl, misr).sign(stim, 160),
               testref::sweepGoodSignature(nl, stim, 160, misr));
@@ -266,10 +284,10 @@ TEST(SeqTraceMemo, ResultsFollowStimulusContentNotItsAddress) {
   const auto a = randomStimulus(1, 128, 8);
   const auto b = randomStimulus(2, 128, 8);
 
-  SeqFsimOptions drop;  // ladder stages 16, 64, 128 reuse one trace
+  FaultSimOptions drop;  // ladder stages 16, 64, 128 reuse one trace
   drop.cycles = 128;
   drop.prepass_cycles = 16;
-  SeqFsimOptions records;
+  FaultSimOptions records;
   records.cycles = 128;
   records.windows = 8;
   records.misr = MisrSpec{4, 0b0011, {{nl.primaryOutputs()[0]},
@@ -285,15 +303,21 @@ TEST(SeqTraceMemo, ResultsFollowStimulusContentNotItsAddress) {
   for (const auto* stim : {&a, &b, &a}) {
     std::copy(stim->begin(), stim->end(), buf.begin());
     const CyclePatternSource patterns(buf, nl.primaryInputs().size());
-    for (const SeqFsimOptions* opts : {&drop, &records}) {
+    const CyclePatternSource original(*stim, nl.primaryInputs().size());
+    for (const FaultSimOptions* opts : {&drop, &records}) {
       const FaultSimResult got = psim.run(u.faults, patterns, *opts);
-      const FaultSimResult fresh = SeqFaultSim(nl).run(u.faults, *stim, *opts);
+      const FaultSimResult fresh =
+          SeqFaultSim(nl).run(u.faults, original, *opts);
       expectSameRecords(got, fresh, stim == &a ? "stimulus A" : "stimulus B");
     }
   }
   // The two stimuli must actually grade differently for the check to bite.
-  EXPECT_NE(SeqFaultSim(nl).run(u.faults, a, drop).first_detect,
-            SeqFaultSim(nl).run(u.faults, b, drop).first_detect);
+  const std::size_t width = nl.primaryInputs().size();
+  EXPECT_NE(
+      SeqFaultSim(nl).run(u.faults, CyclePatternSource(a, width), drop)
+          .first_detect,
+      SeqFaultSim(nl).run(u.faults, CyclePatternSource(b, width), drop)
+          .first_detect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalence,

@@ -72,10 +72,11 @@ TEST_P(RandomCircuitProperty, CombAndSeqFaultSimAgreeOnCombCircuits) {
 
   // Sequential run.
   SeqFaultSim sfsim(nl);
-  SeqFsimOptions so;
+  FaultSimOptions so;
   so.cycles = cycles;
   so.prepass_cycles = 0;
-  const auto seq = sfsim.run(u.faults, stim, so);
+  const auto seq =
+      sfsim.run(u.faults, CyclePatternSource(stim, pis.size()), so);
 
   // Combinational run with the same 64 vectors as one block.
   CombFaultSim cfsim(nl, pis, nl.primaryOutputs());
@@ -468,14 +469,14 @@ TEST_P(SeqOracleProperty, SeqFaultSimMatchesScalarOracle) {
                           [](std::int32_t fd) { return fd >= 0; }),
             static_cast<std::ptrdiff_t>(faults.size() / 4));
 
-  SeqFsimOptions drop;
+  FaultSimOptions drop;
   drop.cycles = cycles;
   drop.prepass_cycles = 8;  // ladder 8, 32, 96
   drop.num_threads = 1;
-  SeqFsimOptions no_drop = drop;
+  FaultSimOptions no_drop = drop;
   no_drop.drop_detected = false;
   no_drop.prepass_cycles = 0;
-  SeqFsimOptions records = drop;
+  FaultSimOptions records = drop;
   records.windows = windows;
   records.misr = misr;
 
@@ -483,8 +484,13 @@ TEST_P(SeqOracleProperty, SeqFaultSimMatchesScalarOracle) {
   ParallelFsimOptions popts;
   popts.num_threads = 2;
   popts.shard_faults = 40;
-  for (const SeqFsimOptions* opts : {&drop, &no_drop, &records}) {
-    const SeqFsimResult serial = SeqFaultSim(nl).run(faults, stim, *opts);
+  for (const FaultSimOptions* opts : {&drop, &no_drop, &records}) {
+    // The serial side is the bare engine's own single pass; the ladder
+    // runs in the sharded one.
+    FaultSimOptions single = *opts;
+    single.prepass_cycles = 0;
+    single.num_threads = 1;
+    const FaultSimResult serial = SeqFaultSim(nl).run(faults, patterns, single);
     ParallelFaultSim sharded(SeqFaultSim{nl}, popts);
     const FaultSimResult parallel = sharded.run(faults, patterns, *opts);
     for (const FaultSimResult* got : {&serial, &parallel}) {

@@ -409,11 +409,27 @@ TEST(ArtifactStore, CurvesGrowByDoublingWithOneMissPerBuild) {
       const ArtifactStats after = store.stats();
       EXPECT_EQ(after.misses - before.misses, miss ? 1u : 0u)
           << (golden ? "golden " : "coverage ") << patterns;
-      // A coverage miss reads the cached fault universe: one hit.
-      EXPECT_EQ(after.hits - before.hits, miss && golden ? 0u : 1u)
+      // Reading the cached fault universe inside a miss is no request.
+      EXPECT_EQ(after.hits - before.hits, miss ? 0u : 1u)
           << (golden ? "golden " : "coverage ") << patterns;
     }
   }
+}
+
+TEST(ArtifactStore, CoverageMissBuildsTheFaultUniverseAsOneMoreMiss) {
+  const auto core = makeStoreCore();
+  ArtifactStore store;
+  EXPECT_EQ(store.signatureCoverage(*core, 0, 64, FsimBackendOptions{}),
+            directCoverage(*core, 64));
+  ArtifactStats s = store.stats();
+  EXPECT_EQ(s.misses, 2u);  // the universe, then the coverage curve
+  EXPECT_EQ(s.hits, 0u);
+  // The universe built inside that miss serves the next public request.
+  EXPECT_EQ(store.stuckAtFaults(*core, 0).size(),
+            enumerateStuckAt(core->engine().module(0)).faults.size());
+  s = store.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 1u);
 }
 
 TEST(ArtifactStore, CurvesStopAtThePatternCounterCapacity) {
