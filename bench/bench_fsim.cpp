@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "case_study.hpp"
@@ -147,18 +148,19 @@ int main(int argc, char** argv) {
     FaultSimResult ref;
     for (const FsimBackend backend :
          {FsimBackend::kSerial, FsimBackend::kThreaded}) {
-      for (const int lane_words : {1, 2, 4, 8}) {
-        FsimBackendOptions bopts;
-        bopts.backend = backend;
-        bopts.lane_words = lane_words;
-        bopts.num_workers = 2;
-        const auto fsim =
-            makeCombFaultSim(scanned, view.inputs, view.observed, bopts);
+      FsimBackendOptions bopts;
+      bopts.backend = backend;
+      bopts.num_workers = 2;
+      const auto cell = [&](auto lanes) {
+        constexpr int kW = decltype(lanes)::value;
+        const auto fsim = makeOrchestrator(
+            CombFaultSimT<kW>(scanned, view.inputs, view.observed),
+            bopts);
         FaultSimResult r;
         const Timing t = timeRepeats(
             repeats, [&] { r = fsim->run(su.faults, comb_patterns, co); });
         const bool is_ref =
-            backend == FsimBackend::kSerial && lane_words == 1;
+            backend == FsimBackend::kSerial && kW == 1;
         if (is_ref) {
           ref = r;
         } else if (r.first_detect != ref.first_detect ||
@@ -167,16 +169,20 @@ int main(int argc, char** argv) {
           std::fprintf(stderr,
                        "FATAL: %s backend at %d lanes diverged from the "
                        "serial 64-lane reference on %s\n",
-                       fsimBackendName(backend), 64 * lane_words,
+                       fsimBackendName(backend), 64 * kW,
                        scanned.name().c_str());
           identical = false;
         }
         const int workers = backend == FsimBackend::kSerial ? 1 : 2;
         rows.push_back({std::string("comb-") + fsimBackendName(backend),
-                        workers, lane_words, t, su.faults.size(), comb_cycles,
-                        r.detected});
+                        workers, kW, t, su.faults.size(),
+                        comb_cycles, r.detected});
         printRow(rows.back());
-      }
+      };
+      cell(std::integral_constant<int, 1>{});
+      cell(std::integral_constant<int, 2>{});
+      cell(std::integral_constant<int, 4>{});
+      cell(std::integral_constant<int, 8>{});
     }
   }
   if (!identical) return 1;

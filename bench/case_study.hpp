@@ -15,7 +15,8 @@
 #include "bist/engine.hpp"
 #include "bist/misr.hpp"
 #include "ldpc/gatelevel.hpp"
-#include "sim/seq_sim.hpp"
+#include "netlist/levelize.hpp"
+#include "sim/comb_sim.hpp"  // broadcast
 
 namespace corebist::bench {
 
@@ -111,30 +112,38 @@ struct CaseStudy {
 };
 
 /// Fault-free signature of engine module `m` by a path that shares no code
-/// with SignatureProgram: SeqSim applies the engine's stimulus and a
-/// software `Misr` folds the module outputs every cycle.
+/// with SignatureProgram or the compiled layout it runs on: a SeqSim-style
+/// sweep of `levelize()` order over one word per net applies the engine's
+/// stimulus, and a software `Misr` folds the module outputs every cycle.
 inline std::uint64_t seqSimSignature(const BistEngine& engine, int m,
                                      int cycles) {
   const Netlist& nl = engine.module(m);
   const std::vector<std::uint64_t> stim = engine.stimulus(m, cycles);
   const MisrSpec spec = engine.misrSpec(m);
   Misr misr(spec.width, spec.poly);
-  SeqSim sim(nl);
-  sim.reset();
+  const Levelization lev = levelize(nl);
+  std::vector<std::uint64_t> val(nl.numNets(), 0);
+  std::vector<std::uint64_t> dcapt(nl.dffs().size(), 0);
   for (int c = 0; c < cycles; ++c) {
     const std::uint64_t in = stim[static_cast<std::size_t>(c)];
     for (std::size_t j = 0; j < nl.primaryInputs().size(); ++j) {
-      sim.comb().set(nl.primaryInputs()[j], broadcast(((in >> j) & 1u) != 0));
+      val[nl.primaryInputs()[j]] = broadcast(((in >> j) & 1u) != 0);
     }
-    sim.evalComb();
+    for (const GateId g : lev.order) {
+      const Gate& gate = nl.gates()[g];
+      const std::uint64_t a = gate.nin > 0 ? val[gate.in[0]] : 0;
+      const std::uint64_t b = gate.nin > 1 ? val[gate.in[1]] : 0;
+      const std::uint64_t s = gate.nin > 2 ? val[gate.in[2]] : 0;
+      val[gate.out] = evalGateWord(gate.type, a, b, s);
+    }
     std::uint64_t folded = 0;
     for (std::size_t t = 0; t < spec.feeds.size(); ++t) {
-      for (const NetId n : spec.feeds[t]) {
-        folded ^= (sim.comb().get(n) & 1u) << t;
-      }
+      for (const NetId n : spec.feeds[t]) folded ^= (val[n] & 1u) << t;
     }
     misr.step(folded);
-    sim.clockEdge();
+    const auto& dffs = nl.dffs();
+    for (std::size_t i = 0; i < dffs.size(); ++i) dcapt[i] = val[dffs[i].d];
+    for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i].q] = dcapt[i];
   }
   return misr.state();
 }

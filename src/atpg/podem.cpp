@@ -84,15 +84,15 @@ bool inverts(GateType t) {
 Podem::Podem(const Netlist& nl, std::span<const NetId> inputs,
              std::span<const NetId> observed, int backtrack_limit)
     : nl_(nl),
-      lev_(levelize(nl)),
+      compiled_(nl.compiled()),
       inputs_(inputs.begin(), inputs.end()),
       observed_flag_(nl.numNets(), 0),
       input_of_net_(nl.numNets(), -1),
       readers_(nl.readerCsr()),
       backtrack_limit_(backtrack_limit),
-      bucket_(static_cast<std::size_t>(lev_.depth) + 1),
+      bucket_(static_cast<std::size_t>(compiled_->lev.depth) + 1),
       queued_(nl.numGates(), 0),
-      lo_level_(lev_.depth + 1) {
+      lo_level_(compiled_->lev.depth + 1) {
   for (const NetId n : observed) observed_flag_[n] = 1;
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     input_of_net_[inputs_[i]] = static_cast<int>(i);
@@ -110,7 +110,7 @@ void Podem::implyAll() {
   // Stem fault on an input/source net.
   if (fault_.isStem()) fval_[fault_.net] = stuck_;
   const auto& gates = nl_.gates();
-  for (const GateId g : lev_.order) {
+  for (const GateId g : compiled_->lev.order) {
     const NetId out = gates[g].out;
     evalGate(g, gval_[out], fval_[out]);
   }
@@ -181,7 +181,7 @@ void Podem::setNet(NetId n, Tv g, Tv f) {
   for (const NetReader& r : readers_.of(n)) {
     if (queued_[r.gate] != 0) continue;
     queued_[r.gate] = 1;
-    const int lvl = lev_.level[r.gate];
+    const int lvl = compiled_->lev.level[r.gate];
     bucket_[static_cast<std::size_t>(lvl)].push_back(r.gate);
     lo_level_ = std::min(lo_level_, lvl);
     hi_level_ = std::max(hi_level_, lvl);
@@ -204,7 +204,7 @@ void Podem::propagate() {
     }
     due.clear();
   }
-  lo_level_ = lev_.depth + 1;
+  lo_level_ = compiled_->lev.depth + 1;
   hi_level_ = -1;
 }
 

@@ -21,13 +21,14 @@
 #define COREBIST_ATPG_PODEM_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "analyze/scoap.hpp"
 #include "fault/fault.hpp"
-#include "netlist/levelize.hpp"
+#include "netlist/compiled.hpp"
 #include "netlist/netlist.hpp"
 
 namespace corebist {
@@ -111,7 +112,7 @@ class Podem {
   [[nodiscard]] bool pickObjective(NetId& net, Tv& val);
 
   const Netlist& nl_;
-  Levelization lev_;
+  std::shared_ptr<const CompiledNetlist> compiled_;
   std::vector<NetId> inputs_;
   std::vector<char> observed_flag_;
   std::vector<int> input_of_net_;  // net -> input index or -1

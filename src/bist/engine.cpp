@@ -28,6 +28,12 @@ int BistEngine::attachModule(const Netlist& module,
   }
   Hookup h;
   h.nl = std::make_unique<Netlist>(module);
+  // Compiled before other threads read the copy. A module that cannot
+  // compile is left for the plan's admission lint to reject by rule name.
+  try {
+    (void)h.nl->compiled();
+  } catch (const std::logic_error&) {
+  }
   h.map.assign(module.primaryInputs().size(), InputSource{});
 
   std::unordered_map<NetId, int> pi_pos;

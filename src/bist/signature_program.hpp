@@ -3,15 +3,12 @@
 // module).
 //
 // A SignatureProgram is built once per netlist and then signs any stimulus.
-// Compilation renumbers nets into slots: primary inputs, flip-flop outputs
-// and every other undriven net first, then gate outputs in evaluation
-// order, so the gate at position p writes slot `sources + p`. Gates are
-// sorted by (logic level, type); a gate never reads a net of its own level,
-// so each maximal run of one type is evaluated by a loop specialised to that
-// type, with no per-gate dispatch. Every net holds one byte (0 or 1): the
-// kernel simulates exactly one machine, unlike the 64-lane fault-simulation
-// words. The MISR fold runs inside the cycle loop, so no net trace is kept;
-// a caller may ask for the MISR state after every cycle.
+// It runs on the netlist's CompiledNetlist (netlist/compiled.hpp), whose
+// good-machine kernel evaluates maximal runs of one gate type over one byte
+// (0 or 1) per slot: the program simulates exactly one machine, unlike the
+// 64-lane fault-simulation words. The program itself keeps only the slots
+// that feed its MISR. The MISR fold runs inside the cycle loop, so no net
+// trace is kept; a caller may ask for the MISR state after every cycle.
 //
 // Per cycle: drive the primary inputs from the stimulus word, evaluate the
 // runs, clock the module outputs into the MISR, then capture every
@@ -24,10 +21,12 @@
 #define COREBIST_BIST_SIGNATURE_PROGRAM_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "fault/fault_sim.hpp"
+#include "netlist/compiled.hpp"
 #include "netlist/netlist.hpp"
 
 namespace corebist {
@@ -49,27 +48,14 @@ class SignatureProgram {
                      std::span<std::uint64_t> per_cycle = {}) const;
 
   [[nodiscard]] std::size_t inputCount() const noexcept {
-    return pi_slots_.size();
+    return compiled_->pi_slots.size();
   }
-  [[nodiscard]] std::size_t gateCount() const noexcept { return in_a_.size(); }
+  [[nodiscard]] std::size_t gateCount() const noexcept {
+    return compiled_->gateCount();
+  }
 
  private:
-  /// Gate positions [begin, end) all of one type.
-  struct Run {
-    GateType type = GateType::kConst0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-
-  std::uint32_t slots_ = 0;
-  std::uint32_t sources_ = 0;  // slots [0, sources_) are undriven
-  std::vector<std::uint32_t> pi_slots_;  // primary input j -> slot
-  std::vector<std::uint32_t> in_a_;      // per gate position: pin slots
-  std::vector<std::uint32_t> in_b_;
-  std::vector<std::uint32_t> in_s_;
-  std::vector<Run> runs_;
-  std::vector<std::uint32_t> d_slots_;   // flip-flop i: D slot
-  std::vector<std::uint32_t> q_slots_;   // flip-flop i: Q slot
+  std::shared_ptr<const CompiledNetlist> compiled_;
   std::vector<std::uint32_t> feed_slots_;  // MISR inputs, tap-major
   std::vector<std::uint8_t> feed_taps_;    // the tap each feed slot drives
   int misr_width_ = 0;

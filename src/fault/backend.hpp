@@ -10,16 +10,14 @@
 //                ladder to ParallelFaultSim on its own
 //   kThreaded  - ParallelFaultSim fault sharding across worker threads
 //
-// Orthogonally, makeCombFaultSim() picks the lane width of the PPSFP kernel
-// (64/128/256/512 pattern lanes per pass) at runtime from the same options
-// struct. Both backends are byte-identical on results by construction; the
-// choice is purely a throughput trade (see src/fault/README.md, "Backend
-// ladder").
+// Both backends are byte-identical on results by construction; the choice
+// is purely a throughput trade (see src/fault/README.md, "Backend ladder").
+// The comb kernel's lane width is a template parameter (CombFaultSimT<W>),
+// chosen where the engine is built.
 #ifndef COREBIST_FAULT_BACKEND_HPP_
 #define COREBIST_FAULT_BACKEND_HPP_
 
 #include <memory>
-#include <span>
 
 #include "fault/fault_sim.hpp"
 
@@ -35,22 +33,12 @@ enum class FsimBackend {
 
 struct FsimBackendOptions {
   FsimBackend backend = FsimBackend::kSerial;
-  /// PPSFP kernel width in 64-lane words (1, 2, 4 or 8); 0 => the build
-  /// default kLaneWords. Only meaningful for makeCombFaultSim.
-  int lane_words = 0;
   /// Worker threads for kThreaded; 0 => one per hardware thread. Ignored
   /// by kSerial (a sequential engine reads FaultSimOptions::num_threads).
   int num_workers = 0;
   /// Faults per work unit for kThreaded.
   int shard_faults = 63;
 };
-
-/// Combinational (full-scan) engine of the requested lane width, wrapped in
-/// the requested orchestrator. lane_words outside {0, 1, 2, 4, 8} throws
-/// std::invalid_argument.
-[[nodiscard]] std::unique_ptr<FaultSim> makeCombFaultSim(
-    const Netlist& nl, std::span<const NetId> inputs,
-    std::span<const NetId> observed, const FsimBackendOptions& opts = {});
 
 /// Wrap an existing prototype engine (combinational or sequential) in the
 /// requested orchestrator. kSerial returns a plain clone, so callers can

@@ -13,7 +13,7 @@ CombFaultSimT<W>::CombFaultSimT(const Netlist& nl,
                                 std::span<const NetId> inputs,
                                 std::span<const NetId> observed)
     : nl_(nl),
-      lev_(levelize(nl)),
+      compiled_(nl.compiled()),
       readers_(&nl.readerCsr()),
       inputs_(inputs.begin(), inputs.end()),
       observed_(observed.begin(), observed.end()),
@@ -23,7 +23,7 @@ CombFaultSimT<W>::CombFaultSimT(const Netlist& nl,
       fval_(nl.numNets(), Word::zero()),
       stamp_(nl.numNets(), 0),
       in_queue_(nl.numGates(), 0),
-      level_buckets_(static_cast<std::size_t>(lev_.depth) + 1) {
+      level_buckets_(static_cast<std::size_t>(compiled_->lev.depth) + 1) {
   for (const NetId n : observed_) observed_flag_[n] = 1;
 }
 
@@ -226,7 +226,9 @@ FaultSimResult CombFaultSimT<W>::run(std::span<const Fault> faults,
 
 template <int W>
 std::unique_ptr<FaultSim> CombFaultSimT<W>::clone() const {
-  return std::make_unique<CombFaultSimT<W>>(nl_, inputs_, observed_);
+  // A copy shares the compiled layout instead of compiling again; the
+  // scratch it copies is consistent (stamps never exceed the epoch).
+  return std::make_unique<CombFaultSimT<W>>(*this);
 }
 
 template <int W>
@@ -247,7 +249,7 @@ void CombFaultSimT<W>::simulateGood(const PatternBlock& block,
   }
   const Word zero = Word::zero();
   const auto& gates = nl_.gates();
-  for (const GateId g : lev_.order) {
+  for (const GateId g : compiled_->lev.order) {
     const Gate& gate = gates[g];
     const Word& a = gate.nin > 0 ? dst[gate.in[0]] : zero;
     const Word& b = gate.nin > 1 ? dst[gate.in[1]] : zero;
@@ -319,11 +321,12 @@ typename CombFaultSimT<W>::Word CombFaultSimT<W>::propagate(
   ++epoch_;
   Word detected = Word::zero();
 
-  int min_level = lev_.depth + 1;
-  auto enqueue = [this, &min_level](GateId g) {
+  const Levelization& lev = compiled_->lev;
+  int min_level = lev.depth + 1;
+  auto enqueue = [this, &lev, &min_level](GateId g) {
     if (in_queue_[g] == epoch_) return;
     in_queue_[g] = epoch_;
-    const int lvl = lev_.level[g];
+    const int lvl = lev.level[g];
     level_buckets_[static_cast<std::size_t>(lvl)].push_back(g);
     if (lvl < min_level) min_level = lvl;
   };
@@ -358,7 +361,7 @@ typename CombFaultSimT<W>::Word CombFaultSimT<W>::propagate(
   }
 
   const Word zero = Word::zero();
-  for (int lvl = min_level; lvl <= lev_.depth; ++lvl) {
+  for (int lvl = min_level; lvl <= lev.depth; ++lvl) {
     auto& bucket = level_buckets_[static_cast<std::size_t>(lvl)];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const GateId g = bucket[i];

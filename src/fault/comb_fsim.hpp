@@ -25,7 +25,7 @@
 #include "fault/fault.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/lane.hpp"
-#include "netlist/levelize.hpp"
+#include "netlist/compiled.hpp"
 #include "netlist/netlist.hpp"
 
 namespace corebist {
@@ -66,17 +66,8 @@ class CombFaultSimT final : public FaultSim {
   /// Lanes (patterns of the loaded block) that detect `f`.
   [[nodiscard]] Word detect(const Fault& f);
 
-  /// Good value of a net in the loaded (v2) block.
-  [[nodiscard]] Word goodValue(NetId n) const { return good_[n]; }
-
   [[nodiscard]] const Netlist& netlist() const noexcept override {
     return nl_;
-  }
-  [[nodiscard]] std::span<const NetId> inputs() const noexcept {
-    return inputs_;
-  }
-  [[nodiscard]] std::span<const NetId> observed() const noexcept {
-    return observed_;
   }
 
  private:
@@ -91,7 +82,7 @@ class CombFaultSimT final : public FaultSim {
   }
 
   const Netlist& nl_;
-  Levelization lev_;
+  std::shared_ptr<const CompiledNetlist> compiled_;  // shared by clones
   const ReaderCsr* readers_;  // materialized at construction (thread safety)
   std::vector<NetId> inputs_;
   std::vector<NetId> observed_;

@@ -1,60 +1,34 @@
 #include "fault/seq_fsim.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
+#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 
 #include "fault/parallel_fsim.hpp"
-#include "netlist/levelize.hpp"
-#include "sim/comb_sim.hpp"
+#include "netlist/compiled.hpp"
 
 namespace corebist {
 
 namespace seq_detail {
 
-/// A gate record in topological order; fanins are slots.
-struct PosGate {
-  std::array<std::uint32_t, 3> in{};  // unused pins read slot 0 (ignored)
-  GateType type = GateType::kConst0;
-};
-
-/// Immutable per-netlist tables, built once per engine family. Nets are
-/// renumbered into slots: undriven nets (primary inputs, flip-flop outputs,
-/// anything else without a driver) first, then gate outputs in topological
-/// order, so the gate at position p writes slot `sources + p` and a sweep
-/// walks gate records, output words and fanout offsets sequentially.
+/// Immutable per-netlist tables, built once per engine family: the
+/// netlist's compiled layout (slots, gate positions, fanout CSR; see
+/// netlist/compiled.hpp) plus what only this engine reads.
 struct Topology {
-  std::uint32_t sources = 0;               // slots [0, sources) are undriven
-  std::vector<std::uint32_t> slot_of;      // net -> slot
-  std::vector<PosGate> gates;
-  std::vector<std::uint32_t> fanout_off;   // slot -> reader positions (CSR)
-  std::vector<std::uint32_t> fanout_pos;
+  std::shared_ptr<const CompiledNetlist> net;
   std::vector<std::uint32_t> capture_off;  // slot -> Q slots it feeds (CSR)
   std::vector<std::uint32_t> capture_q;
-  std::vector<std::uint32_t> pi_slots;     // primary input j -> slot
-  std::vector<std::uint32_t> d_slots;      // flip-flop i: D slot
-  std::vector<std::uint32_t> q_slots;      // flip-flop i: Q slot
   std::size_t row_words = 0;               // trace words per cycle
   double mean_fanout = 0.0;                // reader positions per slot
-
-  [[nodiscard]] std::size_t slots() const { return slot_of.size(); }
-  [[nodiscard]] std::uint32_t fanout(std::uint32_t slot) const {
-    return fanout_off[slot + 1] - fanout_off[slot];
-  }
 };
 
 /// The good machine over one stimulus: one bit per slot per cycle.
 struct GoodTrace {
   std::vector<std::uint64_t> stimulus;  // the words it was built from (key)
-  std::size_t row_words = 0;
   std::vector<std::uint64_t> bits;      // cycle-major rows of row_words
-
-  [[nodiscard]] const std::uint64_t* row(int cycle) const {
-    return bits.data() + static_cast<std::size_t>(cycle) * row_words;
-  }
 };
 
 struct TraceMemo {
@@ -67,7 +41,6 @@ struct TraceMemo {
 namespace {
 
 using seq_detail::GoodTrace;
-using seq_detail::PosGate;
 using seq_detail::Topology;
 
 /// A group sweeps every gate for a cycle when the previous cycle's
@@ -89,111 +62,58 @@ inline std::uint64_t goodWord(const std::uint64_t* row, std::uint32_t slot) {
 
 std::shared_ptr<const Topology> buildTopology(const Netlist& nl) {
   auto t = std::make_shared<Topology>();
-  const std::vector<GateId> order = levelize(nl).order;
-  const auto nets = static_cast<NetId>(nl.numNets());
-  const auto& gates = nl.gates();
-  constexpr std::uint32_t kUnset = 0xFFFF'FFFFu;
-  t->slot_of.assign(nets, kUnset);
-  for (const GateId g : order) {
-    if (t->slot_of[gates[g].out] != kUnset) {
-      throw std::logic_error(nl.name() + ": multiply-driven net");
-    }
-    t->slot_of[gates[g].out] = 0;  // placeholder: driven
-  }
-  for (NetId n = 0; n < nets; ++n) {
-    if (t->slot_of[n] == kUnset) t->slot_of[n] = t->sources++;
-  }
-  t->gates.resize(order.size());
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const Gate& g = gates[order[pos]];
-    t->slot_of[g.out] = t->sources + static_cast<std::uint32_t>(pos);
-  }
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const Gate& g = gates[order[pos]];
-    PosGate& r = t->gates[pos];
-    r.type = g.type;
-    for (std::size_t p = 0; p < g.nin; ++p) r.in[p] = t->slot_of[g.in[p]];
-  }
-  // Reader positions per slot; a gate reading a net on two pins is listed
-  // once (readers come sorted by gate, so duplicates are adjacent).
-  const ReaderCsr& readers = nl.readerCsr();
-  std::vector<NetId> net_of(nets);
-  for (NetId n = 0; n < nets; ++n) net_of[t->slot_of[n]] = n;
-  t->fanout_off.assign(nets + 1, 0);
-  for (std::uint32_t slot = 0; slot < nets; ++slot) {
-    GateId last = Fault::kNoGate;
-    for (const NetReader& r : readers.of(net_of[slot])) {
-      if (r.gate == last) continue;
-      last = r.gate;
-      t->fanout_pos.push_back(t->slot_of[gates[r.gate].out] - t->sources);
-    }
-    t->fanout_off[slot + 1] = static_cast<std::uint32_t>(t->fanout_pos.size());
-  }
-  for (const Dff& f : nl.dffs()) {
-    t->d_slots.push_back(t->slot_of[f.d]);
-    t->q_slots.push_back(t->slot_of[f.q]);
-  }
-  t->capture_off.assign(nets + 1, 0);
-  for (const std::uint32_t d : t->d_slots) ++t->capture_off[d + 1];
-  for (NetId n = 1; n <= nets; ++n) {
+  t->net = nl.compiled();
+  const CompiledNetlist& net = *t->net;
+  const std::size_t slots = net.slots();
+  t->capture_off.assign(slots + 1, 0);
+  for (const std::uint32_t d : net.d_slots) ++t->capture_off[d + 1];
+  for (std::size_t n = 1; n <= slots; ++n) {
     t->capture_off[n] += t->capture_off[n - 1];
   }
-  t->capture_q.resize(t->d_slots.size());
+  t->capture_q.resize(net.d_slots.size());
   std::vector<std::uint32_t> cursor(t->capture_off.begin(),
                                     t->capture_off.end() - 1);
-  for (std::size_t i = 0; i < t->d_slots.size(); ++i) {
-    t->capture_q[cursor[t->d_slots[i]]++] = t->q_slots[i];
+  for (std::size_t i = 0; i < net.d_slots.size(); ++i) {
+    t->capture_q[cursor[net.d_slots[i]]++] = net.q_slots[i];
   }
-  for (const NetId n : nl.primaryInputs()) t->pi_slots.push_back(t->slot_of[n]);
-  t->row_words = (nets + 63) / 64;
-  t->mean_fanout = nets == 0 ? 0.0
-                             : static_cast<double>(t->fanout_pos.size()) /
-                                   static_cast<double>(nets);
+  t->row_words = (slots + 63) / 64;
+  t->mean_fanout = slots == 0 ? 0.0
+                              : static_cast<double>(net.fanout_pos.size()) /
+                                    static_cast<double>(slots);
   return t;
 }
 
-/// Packs 64 broadcast (all-0 / all-1) words into one bit each, eight at a
-/// time: word i of a group contributes byte i, the mask keeps bit i of
-/// byte i, and the multiply gathers those eight bits into the top byte.
-inline std::uint64_t packBroadcastWords(const std::uint64_t* v) {
+/// Packs 64 byte values (0 or 1) into one bit each, eight at a time: the
+/// multiply gathers bit 0 of byte i into bit 56 + i without carries.
+inline std::uint64_t packBytes(const std::uint8_t* v) {
+  static_assert(std::endian::native == std::endian::little);  // byte i: bit 8i
   std::uint64_t bits = 0;
   for (int k = 0; k < 8; ++k) {
     std::uint64_t bytes = 0;
-    for (int i = 0; i < 8; ++i) {
-      bytes |= v[8 * k + i] & (std::uint64_t{0xFF} << (8 * i));
-    }
-    bits |= ((bytes & 0x8040201008040201u) * 0x0101010101010101u >> 56)
-            << (8 * k);
+    std::memcpy(&bytes, v + 8 * k, sizeof bytes);
+    bits |= ((bytes * 0x0102040810204080u) >> 56) << (8 * k);
   }
   return bits;
 }
 
-/// The good machine's trace over the whole stimulus.
+/// The good machine's trace over the whole stimulus: the compiled kernel,
+/// one row of packed slot bits per cycle.
 std::shared_ptr<const GoodTrace> simulateGood(
     const Topology& t, std::span<const std::uint64_t> stimulus) {
+  const CompiledNetlist& net = *t.net;
   auto trace = std::make_shared<GoodTrace>();
   trace->stimulus.assign(stimulus.begin(), stimulus.end());
-  trace->row_words = t.row_words;
   trace->bits.assign(stimulus.size() * t.row_words, 0);
   // Padded to whole rows so every row word packs 64 slots.
-  std::vector<std::uint64_t> val(64 * t.row_words, 0);
-  std::vector<std::uint64_t> dcapt(t.d_slots.size(), 0);
-  std::uint64_t* out = val.data() + t.sources;
+  std::vector<std::uint8_t> val(64 * t.row_words, 0);
+  std::vector<std::uint8_t> scratch(net.d_slots.size(), 0);
   for (std::size_t c = 0; c < stimulus.size(); ++c) {
-    const std::uint64_t in = stimulus[c];
-    for (std::size_t j = 0; j < t.pi_slots.size(); ++j) {
-      val[t.pi_slots[j]] = broadcast(((in >> j) & 1u) != 0);
-    }
-    for (std::size_t pos = 0; pos < t.gates.size(); ++pos) {
-      const PosGate& g = t.gates[pos];
-      out[pos] = evalGateWord(g.type, val[g.in[0]], val[g.in[1]], val[g.in[2]]);
-    }
+    net.evaluate(stimulus[c], val.data());
     std::uint64_t* row = trace->bits.data() + c * t.row_words;
     for (std::size_t w = 0; w < t.row_words; ++w) {
-      row[w] = packBroadcastWords(val.data() + 64 * w);
+      row[w] = packBytes(val.data() + 64 * w);
     }
-    for (std::size_t i = 0; i < dcapt.size(); ++i) dcapt[i] = val[t.d_slots[i]];
-    for (std::size_t i = 0; i < dcapt.size(); ++i) val[t.q_slots[i]] = dcapt[i];
+    net.capture(val.data(), scratch.data());
   }
   return trace;
 }
@@ -287,6 +207,7 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
                    std::span<const std::uint32_t> members,
                    GroupScratch& scratch, FaultSimResult& result) {
   const Topology& topo = *ctx.topo;
+  const CompiledNetlist& net = *topo.net;
   const int cycles = opts.cycles;
   const bool want_windows = opts.windows > 0;
   const bool want_misr = opts.misr.has_value();
@@ -300,18 +221,18 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
     InjectSite s;
     s.mask = std::uint64_t{1} << (i + 1);  // bit 0 is the good machine
     group_mask |= s.mask;
-    s.slot = topo.slot_of[f.net];
+    s.slot = net.slot_of[f.net];
     s.kind = f.kind;
     if (f.isStem()) {
-      s.pos = s.slot < topo.sources
+      s.pos = s.slot < net.sources
                   ? -1
-                  : static_cast<std::int32_t>(s.slot - topo.sources);
+                  : static_cast<std::int32_t>(s.slot - net.sources);
       (s.pos < 0 ? source_sites : gate_sites).push_back(s);
     } else {
       s.branch = true;
       s.pin = f.pin;
       s.pos = static_cast<std::int32_t>(
-          topo.slot_of[ctx.nl->gates()[f.gate].out] - topo.sources);
+          net.slot_of[ctx.nl->gates()[f.gate].out] - net.sources);
       gate_sites.push_back(s);
     }
   }
@@ -320,12 +241,15 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
               return a.pos < b.pos;
             });
 
-  const auto& gates = topo.gates;
-  const auto ngates = static_cast<std::uint32_t>(gates.size());
+  const GateType* const type = net.type.data();
+  const std::uint32_t* const ia = net.in_a.data();
+  const std::uint32_t* const ib = net.in_b.data();
+  const std::uint32_t* const is = net.in_s.data();
+  const auto ngates = static_cast<std::uint32_t>(net.gateCount());
   const double sweep_load = kSweepLoadPerGate * static_cast<double>(ngates);
   std::uint64_t* const diff = scratch.diff.data();
   std::uint64_t* const val = scratch.val.data();
-  std::uint64_t* const out = val + topo.sources;
+  std::uint64_t* const out = val + net.sources;
   std::uint64_t* const pending = scratch.pending.data();
   const std::size_t pending_words = scratch.pending.size();
   auto& written = scratch.written;
@@ -349,7 +273,8 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
 
   std::size_t load = 0;  // gate evaluations the last cycle's divergence woke
   for (int cycle = 0; cycle < cycles; ++cycle) {
-    const std::uint64_t* row = ctx.trace->row(cycle);
+    const std::uint64_t* row = ctx.trace->bits.data() +
+                               static_cast<std::size_t>(cycle) * topo.row_words;
     const bool sweep = static_cast<double>(load) > sweep_load;
     load = 0;
     // The word of `slot` this cycle, in either mode.
@@ -361,12 +286,12 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
     if (sweep) {
       // Dense cycle: every source from the good trace and the seeds, then
       // every gate in order.
-      for (std::uint32_t slot = 0; slot < topo.sources; ++slot) {
+      for (std::uint32_t slot = 0; slot < net.sources; ++slot) {
         val[slot] = goodWord(row, slot);
       }
       for (const auto& [q, d] : seeds) {
         val[q] ^= d;
-        load += topo.fanout(q);
+        load += net.fanout_off[q + 1] - net.fanout_off[q];
       }
       for (InjectSite& s : source_sites) val[s.slot] = inject(s, val[s.slot]);
       // Runs of site-free gates between the sorted fault sites.
@@ -377,19 +302,17 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
                 ? static_cast<std::uint32_t>(gate_sites[ev].pos)
                 : ngates;
         for (; pos < stop; ++pos) {
-          const PosGate& g = gates[pos];
           const std::uint64_t w =
-              evalGateWord(g.type, val[g.in[0]], val[g.in[1]], val[g.in[2]]);
+              evalGateWord(type[pos], val[ia[pos]], val[ib[pos]], val[is[pos]]);
           out[pos] = w;
           diverged += (w ^ goodLane(w)) != 0 ? 1 : 0;
         }
         if (pos == ngates) break;
-        const PosGate& g = gates[pos];
-        const std::uint64_t a = val[g.in[0]];
-        const std::uint64_t b = val[g.in[1]];
-        const std::uint64_t sv = val[g.in[2]];
-        const std::uint64_t w = injectAt(gate_sites, ev, pos, g.type, a, b, sv,
-                                         evalGateWord(g.type, a, b, sv));
+        const std::uint64_t a = val[ia[pos]];
+        const std::uint64_t b = val[ib[pos]];
+        const std::uint64_t sv = val[is[pos]];
+        const std::uint64_t w = injectAt(gate_sites, ev, pos, type[pos], a, b,
+                                         sv, evalGateWord(type[pos], a, b, sv));
         out[pos] = w;
         diverged += (w ^ goodLane(w)) != 0 ? 1 : 0;
         ++pos;
@@ -402,11 +325,11 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
       auto diverge = [&](std::uint32_t slot, std::uint64_t d) {
         diff[slot] = d;
         written.push_back(slot);
-        const std::uint32_t b = topo.fanout_off[slot];
-        const std::uint32_t e = topo.fanout_off[slot + 1];
+        const std::uint32_t b = net.fanout_off[slot];
+        const std::uint32_t e = net.fanout_off[slot + 1];
         load += e - b;
         for (std::uint32_t k = b; k < e; ++k) {
-          const std::uint32_t p = topo.fanout_pos[k];
+          const std::uint32_t p = net.fanout_pos[k];
           pending[p >> 6] |= std::uint64_t{1} << (p & 63);
         }
       };
@@ -429,14 +352,13 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
           pending[wi] = bits & (bits - 1);
           const auto pos = static_cast<std::uint32_t>(
               64 * wi + static_cast<std::size_t>(std::countr_zero(bits)));
-          const PosGate& g = gates[pos];
-          const std::uint64_t a = diff[g.in[0]] ^ goodWord(row, g.in[0]);
-          const std::uint64_t b = diff[g.in[1]] ^ goodWord(row, g.in[1]);
-          const std::uint64_t sv = diff[g.in[2]] ^ goodWord(row, g.in[2]);
-          std::uint64_t w = evalGateWord(g.type, a, b, sv);
-          w = injectAt(gate_sites, ev, pos, g.type, a, b, sv, w);
+          const std::uint64_t a = diff[ia[pos]] ^ goodWord(row, ia[pos]);
+          const std::uint64_t b = diff[ib[pos]] ^ goodWord(row, ib[pos]);
+          const std::uint64_t sv = diff[is[pos]] ^ goodWord(row, is[pos]);
+          std::uint64_t w = evalGateWord(type[pos], a, b, sv);
+          w = injectAt(gate_sites, ev, pos, type[pos], a, b, sv, w);
           const std::uint64_t d = w ^ goodLane(w);
-          if (d != 0) diverge(topo.sources + pos, d);
+          if (d != 0) diverge(net.sources + pos, d);
         }
       }
     }
@@ -524,10 +446,10 @@ void simulateGroup(const RunContext& ctx, const FaultSimOptions& opts,
     // Clock edge: only diverged D words are carried into the next cycle.
     next.clear();
     if (sweep) {
-      for (std::size_t i = 0; i < topo.d_slots.size(); ++i) {
-        const std::uint64_t w = val[topo.d_slots[i]];
+      for (std::size_t i = 0; i < net.d_slots.size(); ++i) {
+        const std::uint64_t w = val[net.d_slots[i]];
         const std::uint64_t d = w ^ goodLane(w);
-        if (d != 0) next.emplace_back(topo.q_slots[i], d);
+        if (d != 0) next.emplace_back(net.q_slots[i], d);
       }
     } else {
       for (const std::uint32_t slot : written) {
@@ -647,20 +569,20 @@ FaultSimResult SeqFaultSim::run(std::span<const Fault> faults,
   ctx.topo = topo_.get();
   ctx.trace = trace.get();
   for (const NetId n : o.observe.empty() ? nl_.primaryOutputs() : o.observe) {
-    ctx.observe.push_back(topo_->slot_of[n]);
+    ctx.observe.push_back(topo_->net->slot_of[n]);
   }
   if (o.misr) {
     for (const auto& feeds : o.misr->feeds) {
       auto& slots = ctx.misr_feeds.emplace_back();
-      for (const NetId n : feeds) slots.push_back(topo_->slot_of[n]);
+      for (const NetId n : feeds) slots.push_back(topo_->net->slot_of[n]);
     }
   }
 
   // One pass over every fault, 63 machines per group.
   GroupScratch scratch;
-  scratch.diff.assign(topo_->slots(), 0);
-  scratch.val.assign(topo_->slots(), 0);
-  scratch.pending.assign((topo_->gates.size() + 63) / 64, 0);
+  scratch.diff.assign(topo_->net->slots(), 0);
+  scratch.val.assign(topo_->net->slots(), 0);
+  scratch.pending.assign((topo_->net->gateCount() + 63) / 64, 0);
   std::vector<std::uint32_t> all(faults.size());
   std::iota(all.begin(), all.end(), 0u);
   const std::span<const std::uint32_t> members(all);

@@ -9,17 +9,19 @@
 // evaluated (stems) or re-evaluating the single consuming gate (branches).
 //
 // Differential evaluation (PROOFS style): the good machine is simulated once
-// per stimulus and stored as one bit per net per cycle. A group evaluates
-// only the fanout of nets whose word diverges from the good value, seeded
-// each cycle by its fault sites and by the flip-flops whose captured D word
-// diverged; every other net reads the good trace. When the previous cycle's
+// per stimulus, by the compiled kernel that also signs BIST runs
+// (netlist/compiled.hpp), and stored as one bit per net per cycle. A group
+// evaluates only the fanout of nets whose word diverges from the good value,
+// seeded each cycle by its fault sites and by the flip-flops whose captured
+// D word diverged; every other net reads the good trace. When the previous cycle's
 // divergence woke more gate evaluations than a plain sweep costs, the group
 // sweeps every gate in order for that cycle instead. The choice depends only
-// on that observed count. The topological gate records, fanout CSR and D->Q
-// map are built once per engine and shared by clone(); the last good trace
-// built lives in a mutex-guarded memo shared by the same family, keyed by
-// stimulus content (never its address) and serving any cycle count up to
-// the traced length.
+// on that observed count. Gate positions, slots and the fanout CSR come from
+// the netlist's CompiledNetlist, shared with every other engine; only the
+// D->Q capture map is this engine's own, built once per engine and shared
+// by clone(). The last good trace built lives in a mutex-guarded memo
+// shared by the same family, keyed by stimulus content (never its address)
+// and serving any cycle count up to the traced length.
 // Results are byte-identical to evaluating every gate every cycle.
 //
 // Transition-delay faults use the gross-delay model: the slow edge arrives

@@ -1,5 +1,7 @@
 #include "netlist/levelize.hpp"
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <queue>
 #include <stdexcept>
@@ -14,49 +16,59 @@ Levelization levelize(const Netlist& nl) {
 
   // Kahn's algorithm over gate dependencies. A gate depends on the drivers of
   // its input nets; PI/state/const-net inputs contribute no dependency. The
-  // lowest ready gate id goes first, so the order stays as close to creation
-  // order as the dependencies allow: netlists are built fanin-first, so a
-  // gate lands next to the logic feeding it, where a level-by-level order
-  // would scatter every cone across the netlist and cost a cache miss per
-  // fanin read in the simulators' sweeps.
+  // lowest-id ready gate of the type just emitted goes next, else the
+  // lowest-id ready gate. Lowest id first keeps a gate next to the logic
+  // feeding it (netlists are built fanin-first); preferring the last type
+  // grows the one-type runs the compiled kernel evaluates without dispatch.
   std::vector<int> pending(gates.size(), 0);
   for (GateId g = 0; g < gates.size(); ++g) {
-    int deps = 0;
     for (int p = 0; p < gates[g].nin; ++p) {
-      if (nl.driverOf(gates[g].in[static_cast<std::size_t>(p)]) !=
-          Netlist::kNoDriver) {
-        ++deps;
-      }
+      const NetId in = gates[g].in[static_cast<std::size_t>(p)];
+      if (nl.driverOf(in) != Netlist::kNoDriver) ++pending[g];
     }
-    pending[g] = deps;
   }
 
-  std::priority_queue<GateId, std::vector<GateId>, std::greater<>> ready;
+  // Ready gates, lowest id on top: one queue per gate type, plus an
+  // always-empty one that stands for "no type emitted yet".
+  using ReadyQueue =
+      std::priority_queue<GateId, std::vector<GateId>, std::greater<>>;
+  std::array<ReadyQueue, kNumGateTypes + 1> ready;
+  const auto push = [&](GateId g) {
+    ready[static_cast<std::size_t>(gates[g].type)].push(g);
+  };
   for (GateId g = 0; g < gates.size(); ++g) {
     if (pending[g] == 0) {
-      ready.push(g);
+      push(g);
       out.level[g] = 0;
     }
   }
 
   // A gate is popped only after all its drivers, so its level is final.
   const ReaderCsr& readers = nl.readerCsr();
-  while (!ready.empty()) {
-    const GateId g = ready.top();
-    ready.pop();
+  std::size_t last = kNumGateTypes;  // the type just emitted
+  for (;;) {
+    if (ready[last].empty()) {
+      for (std::size_t t = 0; t < kNumGateTypes; ++t) {
+        if (!ready[t].empty() &&
+            (ready[last].empty() || ready[t].top() < ready[last].top())) {
+          last = t;
+        }
+      }
+      if (ready[last].empty()) break;
+    }
+    const GateId g = ready[last].top();
+    ready[last].pop();
     out.order.push_back(g);
+    out.depth = std::max(out.depth, out.level[g]);
     for (const NetReader& r : readers.of(gates[g].out)) {
       const int lvl = out.level[g] + 1;
       if (out.level[r.gate] < lvl) out.level[r.gate] = lvl;
-      if (--pending[r.gate] == 0) ready.push(r.gate);
+      if (--pending[r.gate] == 0) push(r.gate);
     }
   }
 
   if (out.order.size() != gates.size()) {
     throw std::logic_error(nl.name() + ": combinational loop detected");
-  }
-  for (const int lvl : out.level) {
-    if (lvl > out.depth) out.depth = lvl;
   }
   return out;
 }

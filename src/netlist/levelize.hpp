@@ -13,8 +13,9 @@
 namespace corebist {
 
 struct Levelization {
-  /// Gate ids in topological order, lowest ready id first (as close to
-  /// creation order as the dependencies allow; not level-major).
+  /// Gate ids in topological order, not level-major: the lowest-id ready
+  /// gate of the type just emitted, else the lowest-id ready gate, so the
+  /// order stays close to creation order and same-type runs grow long.
   std::vector<GateId> order;
   /// Logic level of each gate (same indexing as Netlist::gates()).
   std::vector<int> level;

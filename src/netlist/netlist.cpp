@@ -127,6 +127,7 @@ void Netlist::mutateGateType(GateId g, GateType t) {
     throw std::invalid_argument("mutateGateType: arity mismatch");
   }
   gates_[g].type = t;
+  invalidateCaches();
 }
 
 void Netlist::rebindGateInput(GateId g, std::uint8_t pin, NetId n) {
@@ -255,6 +256,7 @@ void Netlist::validate() const {
 void Netlist::adoptPortNets(const Netlist& other, NetId offset) {
   for (const NetId pi : other.pis_) pis_.push_back(pi + offset);
   for (const NetId po : other.pos_) pos_.push_back(po + offset);
+  invalidateCaches();
 }
 
 NetId Netlist::absorb(const Netlist& other, const std::string& prefix) {

@@ -10,6 +10,7 @@
 #define COREBIST_NETLIST_NETLIST_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -18,6 +19,8 @@
 #include "netlist/gate.hpp"
 
 namespace corebist {
+
+struct CompiledNetlist;
 
 /// A D flip-flop: q is sampled from d on every clock edge; reset forces q=0.
 struct Dff {
@@ -154,6 +157,12 @@ class Netlist {
   /// threads — the fault-sim engines do this in their constructors.
   [[nodiscard]] const ReaderCsr& readerCsr() const;
 
+  /// The compiled layout every simulation engine runs on (compiled.hpp),
+  /// built and invalidated like readerCsr(); the engines materialize it in
+  /// their constructors. Copies share it until their first edit. Throws
+  /// what the CompiledNetlist constructor throws.
+  [[nodiscard]] std::shared_ptr<const CompiledNetlist> compiled() const;
+
   /// Throws std::logic_error on dangling DFF inputs, multiply-driven nets,
   /// or gates reading nonexistent nets.
   void validate() const;
@@ -172,6 +181,7 @@ class Netlist {
   void invalidateCaches() noexcept {
     reader_csr_.offsets.clear();
     reader_csr_.flat.clear();
+    compiled_.reset();
   }
 
   std::string name_ = "top";
@@ -186,6 +196,7 @@ class Netlist {
   std::vector<GateId> driver_;
   std::unordered_map<NetId, int> dff_of_q_;
   mutable ReaderCsr reader_csr_;
+  mutable std::shared_ptr<const CompiledNetlist> compiled_;
 };
 
 }  // namespace corebist

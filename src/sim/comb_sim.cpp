@@ -3,7 +3,7 @@
 namespace corebist {
 
 CombSim::CombSim(const Netlist& nl)
-    : nl_(nl), lev_(levelize(nl)), val_(nl.numNets(), 0) {}
+    : nl_(nl), compiled_(nl.compiled()), val_(nl.numNets(), 0) {}
 
 void CombSim::setBusBroadcast(const Bus& b, std::uint64_t value) {
   for (std::size_t i = 0; i < b.size(); ++i) {
@@ -21,7 +21,7 @@ std::uint64_t CombSim::getBusLane(const Bus& b, int lane) const {
 
 void CombSim::eval() {
   const auto& gates = nl_.gates();
-  for (const GateId g : lev_.order) {
+  for (const GateId g : compiled_->lev.order) {
     const Gate& gate = gates[g];
     const std::uint64_t a = gate.nin > 0 ? val_[gate.in[0]] : 0;
     const std::uint64_t b = gate.nin > 1 ? val_[gate.in[1]] : 0;

@@ -8,10 +8,11 @@
 #define COREBIST_SIM_COMB_SIM_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "netlist/builder.hpp"
-#include "netlist/levelize.hpp"
+#include "netlist/compiled.hpp"
 #include "netlist/netlist.hpp"
 
 namespace corebist {
@@ -26,7 +27,6 @@ class CombSim {
   explicit CombSim(const Netlist& nl);
 
   [[nodiscard]] const Netlist& netlist() const noexcept { return nl_; }
-  [[nodiscard]] const Levelization& levels() const noexcept { return lev_; }
 
   void set(NetId n, std::uint64_t w) { val_[n] = w; }
   [[nodiscard]] std::uint64_t get(NetId n) const { return val_[n]; }
@@ -48,7 +48,7 @@ class CombSim {
 
  private:
   const Netlist& nl_;
-  Levelization lev_;
+  std::shared_ptr<const CompiledNetlist> compiled_;
   std::vector<std::uint64_t> val_;
 };
 

@@ -4,7 +4,6 @@ namespace corebist {
 
 void SeqSim::reset() {
   for (const Dff& ff : netlist().dffs()) sim_.set(ff.q, 0);
-  cycles_ = 0;
 }
 
 void SeqSim::clockEdge() {
@@ -15,7 +14,6 @@ void SeqSim::clockEdge() {
   dtmp_.resize(dffs.size());
   for (std::size_t i = 0; i < dffs.size(); ++i) dtmp_[i] = val[dffs[i].d];
   for (std::size_t i = 0; i < dffs.size(); ++i) val[dffs[i].q] = dtmp_[i];
-  ++cycles_;
 }
 
 }  // namespace corebist

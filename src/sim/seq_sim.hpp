@@ -37,12 +37,9 @@ class SeqSim {
     clockEdge();
   }
 
-  [[nodiscard]] std::size_t cycleCount() const noexcept { return cycles_; }
-
  private:
   CombSim sim_;
   std::vector<std::uint64_t> dtmp_;
-  std::size_t cycles_ = 0;
 };
 
 }  // namespace corebist

@@ -319,13 +319,21 @@ TEST(Engine, StimulusIsDeterministic) {
 
 TEST(Engine, DefectChangesSignature) {
   const Netlist bn = ldpc::buildBitNode();
+  // Compiled before the copy: the defect copy must not keep signing the
+  // healthy layout it shared until the edit.
+  const auto healthy = bn.compiled();
   BistEngine engine;
   const int m = engine.attachModule(bn);
   const std::uint64_t golden = engine.goldenSignature(m, 256);
   EXPECT_EQ(engine.runAndSign(m, bn, 256), golden);
   // Flip one gate: signature must change (MISR aliasing odds ~2^-16).
   const Netlist defective = withGateDefect(bn, 100, GateType::kNor);
-  EXPECT_NE(engine.runAndSign(m, defective, 256), golden);
+  EXPECT_NE(defective.compiled().get(), healthy.get());
+  const std::uint64_t faulty = engine.runAndSign(m, defective, 256);
+  EXPECT_NE(faulty, golden);
+  EXPECT_EQ(faulty, testref::sweepGoodSignature(defective,
+                                                engine.stimulus(m, 256), 256,
+                                                engine.misrSpec(m)));
 }
 
 TEST(EngineHw, BistedModuleReproducesGoldenSignature) {
@@ -449,8 +457,10 @@ Netlist randomSignatureNetlist(std::uint64_t seed) {
 }
 
 TEST(SignatureProgram, MatchesTheSweepReferenceOnRandomNetlists) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    const Netlist nl = randomSignatureNetlist(seed);
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
+    // Seed 7 signs the same-type chains, whose runs read their own outputs.
+    const Netlist nl =
+        seed == 7 ? testref::sameTypeChains() : randomSignatureNetlist(seed);
     std::mt19937_64 rng(seed ^ 0x51C);
     std::vector<std::uint64_t> stim(500);
     for (auto& w : stim) w = rng() & 0x1FF;
@@ -467,6 +477,25 @@ TEST(SignatureProgram, MatchesTheSweepReferenceOnRandomNetlists) {
       }
     }
   }
+}
+
+TEST(SignatureProgram, SameTypeChainsAreRunsThatReadTheirOwnOutputs) {
+  // Guards the input above: if the order ever stops extending runs through
+  // a chain, the sweep comparison no longer covers self-reading runs.
+  const Netlist nl = testref::sameTypeChains();
+  const auto c = nl.compiled();
+  int self_reading = 0;
+  for (const CompiledNetlist::Run& r : c->runs) {
+    for (std::uint32_t p = r.begin; p < r.end; ++p) {
+      for (const std::uint32_t in : {c->in_a[p], c->in_b[p], c->in_s[p]}) {
+        if (in >= c->sources + r.begin && in < c->sources + p) {
+          ++self_reading;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(self_reading, 4 * 63);
 }
 
 TEST(SignatureProgram, CaseStudyModulesMatchASeqSimMisrFold) {

@@ -3,9 +3,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <array>
+#include <memory>
 #include <random>
 
+#include "ldpc/gatelevel.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/compiled.hpp"
 #include "netlist/export.hpp"
 #include "netlist/levelize.hpp"
 #include "netlist/netlist.hpp"
@@ -135,6 +140,207 @@ TEST(Levelize, DetectsCombinationalLoop) {
   const NetId y = nl.addGate2(GateType::kAnd, a, loop);
   nl.driveNet(loop, y);
   EXPECT_THROW(levelize(nl), std::logic_error);
+}
+
+/// Random sequential netlist over every gate type (constants and MUX2
+/// included), with flip-flop shift paths, undriven non-input nets and gates
+/// that read one net on two pins.
+Netlist randomCompiledNetlist(std::uint64_t seed) {
+  Netlist nl("compiled_rand");
+  std::mt19937_64 rng(seed);
+  std::vector<NetId> pool;
+  for (int i = 0; i < 7; ++i) pool.push_back(nl.addPrimaryInput());
+  std::vector<NetId> qs;
+  for (int i = 0; i < 6; ++i) qs.push_back(nl.addDff());
+  pool.insert(pool.end(), qs.begin(), qs.end());
+  pool.push_back(nl.newNet());  // undriven, never an input
+  for (int g = 0; g < 120; ++g) {
+    const auto t = static_cast<GateType>(g < kNumGateTypes
+                                             ? g
+                                             : rng() % kNumGateTypes);
+    const NetId a = pool[rng() % pool.size()];
+    const NetId b = rng() % 8 == 0 ? a : pool[rng() % pool.size()];
+    const NetId sel = pool[rng() % pool.size()];
+    const std::array<NetId, 3> in{a, b, sel};
+    pool.push_back(nl.addGate(
+        t, std::span<const NetId>(in.data(),
+                                  static_cast<std::size_t>(gateArity(t)))));
+  }
+  nl.connectDff(qs[0], qs[1]);
+  for (std::size_t i = 1; i < qs.size(); ++i) {
+    nl.connectDff(qs[i], pool[pool.size() - 1 - rng() % 30]);
+  }
+  for (std::size_t i = 0; i < 5; ++i) {
+    nl.markPrimaryOutput(pool[pool.size() - 1 - i]);
+  }
+  return nl;
+}
+
+/// Checks every structural promise of `nl.compiled()` against `nl` itself.
+void expectCompiledLayoutHolds(const Netlist& nl) {
+  SCOPED_TRACE(nl.name());
+  const auto c = nl.compiled();
+  const auto& gates = nl.gates();
+  const std::size_t ngates = gates.size();
+  ASSERT_EQ(c->lev.order.size(), ngates);
+  ASSERT_EQ(c->gateCount(), ngates);
+  ASSERT_EQ(c->slots(), nl.numNets());
+
+  // The order is topological, and each level is the longest path.
+  std::vector<std::uint32_t> pos(ngates, 0);
+  for (std::size_t p = 0; p < ngates; ++p) {
+    pos[c->lev.order[p]] = static_cast<std::uint32_t>(p);
+  }
+  int depth = 0;
+  for (const GateId g : c->lev.order) {
+    int level = 0;
+    for (int p = 0; p < gates[g].nin; ++p) {
+      const GateId drv =
+          nl.driverOf(gates[g].in[static_cast<std::size_t>(p)]);
+      if (drv == Netlist::kNoDriver) continue;
+      EXPECT_LT(pos[drv], pos[g]);
+      level = std::max(level, c->lev.level[drv] + 1);
+    }
+    EXPECT_EQ(c->lev.level[g], level);
+    depth = std::max(depth, level);
+  }
+  EXPECT_EQ(c->lev.depth, depth);
+
+  // Source slots come first: primary inputs, flip-flop outputs, then the
+  // other undriven nets; the gate at position p writes slot sources + p.
+  const auto& pis = nl.primaryInputs();
+  ASSERT_EQ(c->pi_slots.size(), pis.size());
+  for (std::size_t j = 0; j < pis.size(); ++j) {
+    EXPECT_EQ(c->pi_slots[j], j);
+    EXPECT_EQ(c->slot_of[pis[j]], j);
+  }
+  ASSERT_EQ(c->q_slots.size(), nl.dffs().size());
+  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
+    EXPECT_EQ(c->q_slots[i], pis.size() + i);
+    EXPECT_EQ(c->d_slots[i], c->slot_of[nl.dffs()[i].d]);
+  }
+  std::vector<char> seen(nl.numNets(), 0);
+  for (NetId n = 0; n < nl.numNets(); ++n) {
+    const std::uint32_t slot = c->slot_of[n];
+    ASSERT_LT(slot, nl.numNets());
+    EXPECT_EQ(seen[slot], 0) << "slot " << slot << " used twice";
+    seen[slot] = 1;
+    EXPECT_EQ(slot < c->sources, nl.driverOf(n) == Netlist::kNoDriver);
+  }
+  for (std::size_t p = 0; p < ngates; ++p) {
+    const Gate& g = gates[c->lev.order[p]];
+    EXPECT_EQ(c->slot_of[g.out], c->sources + p);
+    EXPECT_EQ(c->type[p], g.type);
+    if (g.nin > 0) EXPECT_EQ(c->in_a[p], c->slot_of[g.in[0]]);
+    if (g.nin > 1) EXPECT_EQ(c->in_b[p], c->slot_of[g.in[1]]);
+    if (g.nin > 2) EXPECT_EQ(c->in_s[p], c->slot_of[g.in[2]]);
+  }
+
+  // Runs are maximal and cover every position.
+  std::uint32_t next = 0;
+  for (std::size_t r = 0; r < c->runs.size(); ++r) {
+    const CompiledNetlist::Run& run = c->runs[r];
+    EXPECT_EQ(run.begin, next);
+    EXPECT_LT(run.begin, run.end);
+    for (std::uint32_t p = run.begin; p < run.end; ++p) {
+      EXPECT_EQ(c->type[p], run.type);
+    }
+    if (r > 0) EXPECT_NE(c->runs[r - 1].type, run.type);
+    next = run.end;
+  }
+  EXPECT_EQ(next, ngates);
+
+  // The fanout CSR is readerCsr() mapped to positions, duplicates removed.
+  const ReaderCsr& readers = nl.readerCsr();
+  ASSERT_EQ(c->fanout_off.size(), nl.numNets() + 1);
+  for (NetId n = 0; n < nl.numNets(); ++n) {
+    std::vector<std::uint32_t> want;
+    GateId last = Netlist::kNoDriver;
+    for (const NetReader& r : readers.of(n)) {
+      if (r.gate != last) want.push_back(pos[r.gate]);
+      last = r.gate;
+    }
+    const std::uint32_t slot = c->slot_of[n];
+    const std::vector<std::uint32_t> got(
+        c->fanout_pos.begin() + c->fanout_off[slot],
+        c->fanout_pos.begin() + c->fanout_off[slot + 1]);
+    EXPECT_EQ(got, want) << "net " << n;
+  }
+}
+
+TEST(CompiledNetlist, LayoutHoldsOnRandomNetlists) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    expectCompiledLayoutHolds(randomCompiledNetlist(seed));
+  }
+}
+
+TEST(CompiledNetlist, LayoutHoldsOnTheCaseStudyModules) {
+  expectCompiledLayoutHolds(ldpc::buildBitNode());
+  expectCompiledLayoutHolds(ldpc::buildCheckNode());
+  expectCompiledLayoutHolds(ldpc::buildControlUnit());
+}
+
+TEST(CompiledNetlist, LoopsAndRogueDriversThrow) {
+  Netlist loop("loop");
+  const NetId a = loop.addPrimaryInput();
+  const NetId back = loop.newNet();
+  loop.driveNet(back, loop.addGate2(GateType::kAnd, a, back));
+  EXPECT_THROW((void)loop.compiled(), std::logic_error);
+
+  Netlist rogue = randomCompiledNetlist(1);
+  ASSERT_NO_THROW((void)rogue.compiled());
+  rogue.addRogueDriver(rogue.gates().back().out, rogue.primaryInputs()[0]);
+  EXPECT_THROW((void)rogue.compiled(), std::logic_error);
+}
+
+TEST(CompiledNetlist, CopiesShareTheLayoutUntilTheirFirstEdit) {
+  const Netlist nl = randomCompiledNetlist(3);
+  const auto layout = nl.compiled();
+  EXPECT_EQ(nl.compiled().get(), layout.get());
+  const Netlist copy = nl;
+  EXPECT_EQ(copy.compiled().get(), layout.get());
+
+  // The undriven non-input net of randomCompiledNetlist.
+  NetId floating = kNullNet;
+  for (NetId n = 0; n < nl.numNets(); ++n) {
+    if (nl.driverOf(n) == Netlist::kNoDriver && !nl.isStateNet(n) &&
+        std::find(nl.primaryInputs().begin(), nl.primaryInputs().end(), n) ==
+            nl.primaryInputs().end()) {
+      floating = n;
+    }
+  }
+  ASSERT_NE(floating, kNullNet);
+  GateId two_input = 0;
+  while (nl.gates()[two_input].nin != 2) ++two_input;
+  const NetId pi = nl.primaryInputs()[0];
+  const NetId q = nl.dffs()[0].q;
+
+  const std::vector<std::pair<const char*, std::function<void(Netlist&)>>>
+      edits = {
+          {"mutateGateType",
+           [&](Netlist& e) {
+             e.mutateGateType(two_input,
+                              e.gates()[two_input].type == GateType::kAnd
+                                  ? GateType::kOr
+                                  : GateType::kAnd);
+           }},
+          {"rebindGateInput",
+           [&](Netlist& e) { e.rebindGateInput(two_input, 1, pi); }},
+          {"rebindDff", [&](Netlist& e) { e.rebindDff(q, pi); }},
+          {"driveNet", [&](Netlist& e) { e.driveNet(floating, pi); }},
+          {"addGate",
+           [&](Netlist& e) { (void)e.addGate2(GateType::kXor, pi, q); }},
+      };
+  for (const auto& [name, edit] : edits) {
+    SCOPED_TRACE(name);
+    Netlist edited = nl;
+    ASSERT_EQ(edited.compiled().get(), layout.get());
+    edit(edited);
+    const auto fresh = edited.compiled();
+    EXPECT_NE(fresh.get(), layout.get());
+    EXPECT_EQ(nl.compiled().get(), layout.get());
+    expectCompiledLayoutHolds(edited);
+  }
 }
 
 class BuilderArithTest : public ::testing::TestWithParam<int> {};

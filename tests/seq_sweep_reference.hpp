@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -287,6 +288,48 @@ inline std::uint64_t sweepGoodSignature(const Netlist& nl,
     sig |= (state[static_cast<std::size_t>(j)] & 1u) << j;
   }
   return sig;
+}
+
+/// Four chains of one gate type each (NOT, AND, XOR, MUX2), 64 gates deep:
+/// every gate reads the one before it, on alternating pins where it has a
+/// choice, so the run-extending order evaluates each chain as one run that
+/// reads its own outputs. Side inputs come from the primary inputs and the
+/// flip-flops; chain ends feed the flip-flops, and every eighth chain gate
+/// is a primary output. Kernels that assume a run's inputs and outputs are
+/// disjoint fail on it.
+inline Netlist sameTypeChains() {
+  Netlist nl("same_type_chains");
+  std::vector<NetId> x;
+  for (int i = 0; i < 8; ++i) x.push_back(nl.addPrimaryInput());
+  std::vector<NetId> q;
+  for (int i = 0; i < 4; ++i) q.push_back(nl.addDff());
+  const GateType types[] = {GateType::kNot, GateType::kAnd, GateType::kXor,
+                            GateType::kMux2};
+  std::mt19937_64 rng(0xC4A1);
+  for (std::size_t k = 0; k < 4; ++k) {
+    NetId prev = k == 0 ? x[0] : q[k];
+    for (int d = 0; d < 64; ++d) {
+      const NetId side =
+          d % 2 == 0 ? x[rng() % x.size()] : q[rng() % q.size()];
+      const NetId sel = x[rng() % x.size()];
+      switch (types[k]) {
+        case GateType::kNot:
+          prev = nl.addGate1(GateType::kNot, prev);
+          break;
+        case GateType::kMux2:
+          prev = d % 2 == 0 ? nl.addMux(prev, side, sel)
+                            : nl.addMux(side, prev, sel);
+          break;
+        default:
+          prev = d % 2 == 0 ? nl.addGate2(types[k], prev, side)
+                            : nl.addGate2(types[k], side, prev);
+          break;
+      }
+      if (d % 8 == 7) nl.markPrimaryOutput(prev);
+    }
+    nl.connectDff(q[k], prev);
+  }
+  return nl;
 }
 
 }  // namespace corebist::testref

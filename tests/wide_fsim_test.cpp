@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fault/backend.hpp"
@@ -225,32 +226,33 @@ TEST(FsimBackendFactory, FactoryWrapsEveryBackendOverEveryLaneWidth) {
   o.cycles = 192;
   o.prepass_cycles = 0;
 
-  FsimBackendOptions ref_opts;  // serial, 64-lane reference
-  ref_opts.lane_words = 1;
-  const auto ref_engine =
-      makeCombFaultSim(nl, nl.primaryInputs(), nl.primaryOutputs(), ref_opts);
-  const FaultSimResult ref = ref_engine->run(u.faults, patterns, o);
+  // Serial, 64-lane reference.
+  const FaultSimResult ref =
+      CombFaultSimT<1>(nl, nl.primaryInputs(), nl.primaryOutputs())
+          .run(u.faults, patterns, o);
 
   for (const FsimBackend backend :
        {FsimBackend::kSerial, FsimBackend::kThreaded}) {
-    for (const int lw : {1, 2, 4, 8}) {
-      FsimBackendOptions bopts;
-      bopts.backend = backend;
-      bopts.lane_words = lw;
-      bopts.num_workers = 2;
-      const auto engine = makeCombFaultSim(nl, nl.primaryInputs(),
-                                           nl.primaryOutputs(), bopts);
+    FsimBackendOptions bopts;
+    bopts.backend = backend;
+    bopts.num_workers = 2;
+    const auto check = [&](auto lanes) {
+      constexpr int kW = decltype(lanes)::value;
+      const auto engine = makeOrchestrator(
+          CombFaultSimT<kW>(nl, nl.primaryInputs(), nl.primaryOutputs()),
+          bopts);
       const FaultSimResult r = engine->run(u.faults, patterns, o);
       SCOPED_TRACE(std::string(fsimBackendName(backend)) + " W=" +
-                   std::to_string(lw));
+                   std::to_string(kW));
       EXPECT_EQ(r.first_detect, ref.first_detect);
       EXPECT_EQ(r.detected, ref.detected);
       EXPECT_EQ(r.patterns_applied, ref.patterns_applied);
-    }
+    };
+    check(std::integral_constant<int, 1>{});
+    check(std::integral_constant<int, 2>{});
+    check(std::integral_constant<int, 4>{});
+    check(std::integral_constant<int, 8>{});
   }
-  EXPECT_THROW((void)makeCombFaultSim(randomComb(1, 6, 10), {}, {},
-                                      FsimBackendOptions{.lane_words = 3}),
-               std::invalid_argument);
 }
 
 TEST(PatternSourceWideFill, DecomposesIntoNarrowSubBlockFills) {
